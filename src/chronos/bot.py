@@ -18,6 +18,7 @@ from .core import (
     UNDEFINED,
     Assignment,
     BotModel,
+    CandidatePlan,
     Const,
     Period,
     UnboundVariable,
@@ -149,39 +150,42 @@ _PERIOD_TYPES = (Interval, Intersect, TermRef)
 # Variable collection
 
 
-def _term_vars(t, out):
+def _subterms(t):
+    """t and every term nested in it, depth first, left to right."""
+    yield t
     tt = type(t)
-    if tt is Var:
-        if t.name not in out:
-            out.append(t.name)
-    elif tt in (Earliest, Latest):
-        _term_vars(t.per, out)
+    if tt in (Earliest, Latest):
+        yield from _subterms(t.per)
     elif tt is Succ:
-        _term_vars(t.point, out)
+        yield from _subterms(t.point)
     elif tt is Interval:
-        _term_vars(t.lo, out)
-        _term_vars(t.hi, out)
+        yield from _subterms(t.lo)
+        yield from _subterms(t.hi)
     elif tt is Intersect:
-        _term_vars(t.left, out)
-        _term_vars(t.right, out)
+        yield from _subterms(t.left)
+        yield from _subterms(t.right)
     elif tt is TermRef:
-        _term_vars(t.term, out)
+        yield from _subterms(t.term)
+
+
+def _atom_subterms(f):
+    t = type(f)
+    if t is Literal:
+        terms = f.args
+    elif t in (Subper, Eq, Prec):
+        terms = (f.left, f.right)
+    elif t in (IsPeriod, InPart):
+        terms = (f.term,)
+    else:
+        raise TypeError(f"not a BOT atom: {f!r}")
+    for term in terms:
+        yield from _subterms(term)
 
 
 def _atom_vars(f, out):
-    t = type(f)
-    if t is Literal:
-        for a in f.args:
-            _term_vars(a, out)
-    elif t in (Subper, Eq, Prec):
-        _term_vars(f.left, out)
-        _term_vars(f.right, out)
-    elif t is IsPeriod:
-        _term_vars(f.term, out)
-    elif t is InPart:
-        _term_vars(f.term, out)
-    else:
-        raise TypeError(f"not a BOT atom: {f!r}")
+    for s in _atom_subterms(f):
+        if type(s) is Var and s.name not in out:
+            out.append(s.name)
 
 
 def flatten(f) -> list:
@@ -575,14 +579,59 @@ def eval_bot(m: BotModel, st: int, g: Assignment, f) -> bool:
     raise TypeError(f"not a BOT formula: {f!r}")
 
 
+def _narrow(m: BotModel, st: int, atoms: list, plan) -> bool:
+    """Add the conjuncts' candidate filters to plan; False if they name a
+    functor, constant or partitioning the model lacks.
+
+    A literal's variables range over its true tuples (a semi-join), eq with
+    an earlier-bound side leaves one value, part leaves the blocks, and a
+    variable in period(...) or in any period-expression position must be a
+    period: on any other value the conjunct is false.
+    """
+    for atom in atoms:
+        t = type(atom)
+        for s in _atom_subterms(atom):
+            if type(s) is Const and s.name not in m.consts:
+                return False
+            if type(s) is TermRef and type(s.term) is Var:
+                plan.periods_only(s.term.name)
+        if t is Literal:
+            tuples = m.true_tuples(atom.functor, len(atom.args))
+            if tuples is None:
+                return False
+            plan.semijoin(tuples, tuple(
+                a if type(a) is Var
+                else m.consts[a.name] if type(a) is Const
+                else None
+                for a in atom.args
+            ))
+        elif t is InPart:
+            part = m.partitioning(atom.part)
+            if part is None:
+                return False
+            if type(atom.term) is Var:
+                plan.only(atom.term.name, part.blocks)
+        elif t is IsPeriod and type(atom.term) is Var:
+            plan.periods_only(atom.term.name)
+        elif t is Eq:
+            for v, e in ((atom.left, atom.right), (atom.right, atom.left)):
+                if type(v) is Var:
+                    needs = [s.name for s in _subterms(e) if type(s) is Var]
+                    plan.equal_to(
+                        v.name, needs, lambda g, e=e: _denote_term(m, st, g, e)
+                    )
+    return True
+
+
 def denot_bot_witness(m: BotModel, st: int, f):
     """First assignment satisfying f, or None.
 
     Variables are assigned in first-occurrence order, values in object
     enumeration order (atoms first, then periods).  Each conjunct is
     checked as soon as all its variables are bound, so failing branches
-    are cut early; the witness is the one full nested enumeration over
-    the same orders would find first.
+    are cut early, and a variable only takes the values its candidate plan
+    allows; the witness is the one full nested enumeration over the same
+    orders would find first.
     """
     atoms = flatten(f)
     order = free_vars_ordered(f)
@@ -595,6 +644,10 @@ def denot_bot_witness(m: BotModel, st: int, f):
         ready_at[level].append(atom)
 
     domain = list(m.objects())
+    plan = CandidatePlan(domain, order)
+    if not _narrow(m, st, atoms, plan):
+        # a pruned value could skip a conjunct that raises: keep the domain
+        plan = CandidatePlan(domain, order)
     g = {}
 
     def dfs(level):
@@ -604,12 +657,12 @@ def denot_bot_witness(m: BotModel, st: int, f):
         if level == len(order):
             return dict(g)
         name = order[level]
-        for val in domain:
+        for val in plan.candidates(level, g):
             g[name] = val
             found = dfs(level + 1)
             if found is not None:
                 return found
-        del g[name]
+        g.pop(name, None)  # never bound when there are no candidates
         return None
 
     return dfs(0)

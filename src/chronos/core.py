@@ -311,6 +311,109 @@ class EtaMapping:
         return self.span_prefix + functor
 
 
+class CandidatePlan:
+    """Candidate values for each variable of an ordered depth-first search.
+
+    Variables are bound in ``order``; a variable's candidates are the
+    domain narrowed by filters that every satisfying assignment passes, so
+    dropping the rest loses no witness.  Candidates keep domain order,
+    which keeps the first witness the one plain nested enumeration over
+    the whole domain finds.  A filter reads only variables bound before
+    the one it narrows.
+    """
+
+    def __init__(self, domain: list, order: list):
+        self.domain = domain
+        self._pos = {o: i for i, o in enumerate(domain)}
+        self._periods = frozenset(
+            i for i, o in enumerate(domain) if type(o) is Period
+        )
+        self._level = {name: i for i, name in enumerate(order)}
+        self._static = [None] * len(order)  # allowed domain positions, or None
+        self._dynamic = [[] for _ in order]  # callables g -> set of values
+        self._fixed = None
+
+    def _restrict(self, name: str, positions) -> None:
+        i = self._level[name]
+        old = self._static[i]
+        self._static[i] = positions if old is None else old & positions
+
+    def only(self, name: str, values) -> None:
+        """Restrict a variable to values, whatever the others are bound to."""
+        pos = self._pos
+        self._restrict(name, {pos[o] for o in values if o in pos})
+
+    def periods_only(self, name: str) -> None:
+        self._restrict(name, self._periods)
+
+    def equal_to(self, name: str, needs, value) -> None:
+        """Restrict a variable to {value(g)} once all names in needs are bound."""
+        i = self._level[name]
+        if all(self._level[n] < i for n in needs):
+            self._dynamic[i].append(lambda g: {value(g)})
+
+    def semijoin(self, tuples, args: tuple) -> None:
+        """Restrict each variable of a literal to the matching tuples' values.
+
+        args[k] is a Var, None where no filter reads the position, or the
+        object a constant denotes.  A variable takes, at its first position,
+        the values of the tuples that agree with the constants, with its own
+        other positions and with the variables bound before it.
+        """
+        known = [
+            (k, a) for k, a in enumerate(args)
+            if a is not None and type(a) is not Var
+        ]
+        repeats = [
+            (k, args.index(a)) for k, a in enumerate(args)
+            if type(a) is Var and args.index(a) != k
+        ]
+        rows = [
+            t for t in tuples
+            if all(t[k] == a for k, a in known)
+            and all(t[k] == t[j] for k, j in repeats)
+        ]
+        for j, v in enumerate(args):
+            if type(v) is not Var or args.index(v) != j:
+                continue
+            i = self._level[v.name]
+            checks = [
+                (k, a.name) for k, a in enumerate(args)
+                if type(a) is Var and self._level[a.name] < i
+            ]
+            if not checks:
+                self.only(v.name, (t[j] for t in rows))
+            else:
+                self._dynamic[i].append(
+                    lambda g, j=j, checks=checks: {
+                        t[j] for t in rows
+                        if all(t[k] == g[n] for k, n in checks)
+                    }
+                )
+
+    def candidates(self, level: int, g: Assignment) -> list:
+        """Values for the variable at level, given the earlier bindings in g."""
+        domain = self.domain
+        if self._fixed is None:
+            self._fixed = [
+                domain if s is None else [domain[i] for i in sorted(s)]
+                for s in self._static
+            ]
+        dynamic = self._dynamic[level]
+        if not dynamic:
+            return self._fixed[level]
+        pos = self._pos
+        positions = {
+            pos[o]
+            for o in set.intersection(*(narrow(g) for narrow in dynamic))
+            if o in pos
+        }
+        static = self._static[level]
+        if static is not None:
+            positions &= static
+        return [domain[i] for i in sorted(positions)]
+
+
 class FunctorCollision(Exception):
     """A derived functor name is already used by the model."""
 

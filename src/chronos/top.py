@@ -15,6 +15,7 @@ from . import lexer
 from .core import (
     EMPTY,
     Assignment,
+    CandidatePlan,
     Const,
     Period,
     PointSet,
@@ -559,40 +560,92 @@ def eval_top_at(m: TopModel, idx: EvalIndex, g: Assignment, f) -> bool:
     return _eval(m, idx.st, idx.et, idx.lt, g, f, strict=True)
 
 
+def _narrow(m, f, plan) -> bool:
+    """Add f's candidate filters to plan; False if f names a functor,
+    constant or partitioning the model lacks.
+
+    Every subformula must hold for f to hold, so a literal's variables
+    range over the tuples with a non-empty period set (under Culm, also a
+    set culmination flag), a Part variable over the blocks, and a variable
+    that Past, Perf or Ntense ties to an event time, or that At, Before or
+    After reads as a window, over the periods.
+    """
+    t = type(f)
+    if t in (Literal, Culm):
+        lit = f if t is Literal else f.body
+        ext = m.extension(lit.functor, len(lit.args))
+        if ext is None or any(
+            type(a) is Const and a.name not in m.consts for a in lit.args
+        ):
+            return False
+        plan.semijoin(
+            [
+                args for args, ps in ext.items()
+                if ps and (t is Literal
+                           or m.culm_flag(lit.functor, len(lit.args), args))
+            ],
+            tuple(a if type(a) is Var else m.consts[a.name] for a in lit.args),
+        )
+        return True
+    if t is And:
+        return _narrow(m, f.left, plan) and _narrow(m, f.right, plan)
+    if t is Part:
+        part = m.partitioning(f.part)
+        if part is None:
+            return False
+        plan.only(f.var.name, part.blocks)
+        return True
+    if t in (Past, Perf) or (t is Ntense and f.var is not None):
+        plan.periods_only(f.var.name)
+    elif t in (At, Before, After):
+        if type(f.term) is Var:
+            plan.periods_only(f.term.name)
+        elif f.term.name not in m.consts:
+            return False
+    elif t is For and f.cpart not in m.cparts:
+        return False
+    return _narrow(m, f.body, plan)
+
+
 def denot_top_witness(m: TopModel, st: int, f):
     """First (assignment, et) satisfying f at speech time st, or None.
 
     The search is exhaustive over all event times (ordered by (lo, hi)) and
     all assignments of the formula's variables into the object domain
     (atoms first, then periods); branches are skipped only when a partial
-    assignment already forces the formula false, so the witness is exactly
-    the one plain nested enumeration would find first.
+    assignment already forces the formula false, or when a value fails a
+    candidate filter that every satisfying assignment passes, so the
+    witness is exactly the one plain nested enumeration would find first.
     """
     order = free_vars_ordered(f)
     domain = list(m.objects())
+    plan = CandidatePlan(domain, order)
+    if not _narrow(m, f, plan):
+        # a pruned value could skip a clause that raises: keep the domain
+        plan = CandidatePlan(domain, order)
     full = m.timeline.full()
     for et in m.timeline.periods():
-        found = _search(m, st, et, full, {}, f, order, 0, domain)
+        found = _search(m, st, et, full, {}, f, order, 0, plan)
         if found is not None:
             return found
     return None
 
 
-def _search(m, st, et, lt, g, f, order, i, domain):
+def _search(m, st, et, lt, g, f, order, i, plan):
     r = _eval(m, st, et, lt, g, f, strict=False)
     if r is False:
         return None
     if r is True:
         full_g = dict(g)
         for name in order[i:]:
-            full_g[name] = domain[0]
+            full_g[name] = plan.domain[0]
         return full_g, et
-    for val in domain:
+    for val in plan.candidates(i, g):
         g[order[i]] = val
-        found = _search(m, st, et, lt, g, f, order, i + 1, domain)
+        found = _search(m, st, et, lt, g, f, order, i + 1, plan)
         if found is not None:
             return found
-    del g[order[i]]
+    g.pop(order[i], None)  # never bound when there are no candidates
     return None
 
 

@@ -12,6 +12,7 @@ from chronos.core import (
     Const,
     Period,
     UnboundVariable,
+    UnknownConstant,
     UnknownFunctor,
     UnknownPartitioning,
     Var,
@@ -261,3 +262,19 @@ def test_denot_matches_naive_enumeration(b0):
                 naive = g
                 break
         assert denot_bot_witness(b0, 7, f) == naive
+
+
+def test_unresolved_references_keep_their_outcome(b0):
+    """A formula naming a functor, constant or partitioning the model lacks
+    is searched over the whole domain: the raising conjunct is reached
+    exactly when plain enumeration reaches it, even where another conjunct
+    admits no value at all."""
+    assert denot_bot_witness(b0, 7, parse_bot("prec(end, beg) & nosuch(tank5)")) is None
+    raising = {
+        "nosuch(?x) & empty(bridge2, ?x)": UnknownFunctor,
+        "subper(?p, nosuch) & empty(bridge2, ?p)": UnknownConstant,
+        "part(nosuch, ?x) & empty(bridge2, ?x)": UnknownPartitioning,
+    }
+    for text, error in raising.items():
+        with pytest.raises(error):
+            denot_bot_witness(b0, 7, parse_bot(text))

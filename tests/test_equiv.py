@@ -114,6 +114,13 @@ def test_campaign_clean_and_deterministic():
     assert a.lines()[-1] == "cases=120 disagreements=0"
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 5])
+def test_campaign_clean_on_more_seeds(seed):
+    """Seed 0 holds the pinned known gap and seed 4 is kept for re-checking
+    performance claims; the others must find no disagreement."""
+    assert run_campaign(GenParams(seed=seed), 1000).ok
+
+
 def test_gen_case_deterministic():
     params = GenParams(seed=5)
     assert gen_case(params, 17) == gen_case(params, 17)

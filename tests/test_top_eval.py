@@ -4,14 +4,17 @@ import itertools
 
 import pytest
 
+from chronos import bot, top
 from chronos.core import (
     EMPTY,
     Period,
     UnboundVariable,
+    UnknownConstant,
     UnknownFunctor,
     UnknownPartitioning,
+    derive_bot_model,
 )
-from chronos.equiv import GenParams, gen_model
+from chronos.equiv import GenParams, gen_case, gen_model
 from chronos.modelfile import parse_model
 from chronos.top import (
     EvalIndex,
@@ -20,6 +23,7 @@ from chronos.top import (
     eval_top_at,
     parse_top,
 )
+from chronos.translate import translate
 
 P = Period
 
@@ -226,3 +230,87 @@ def test_absent_bindings_do_not_matter(m0):
     g = {"e": P(3, 4)}
     noisy = dict(g, unrelated="tank5", z=P(0, 9))
     assert eval_top_at(m, idx, g, f) == eval_top_at(m, idx, noisy, f)
+
+
+def _naive_top_witness(m, st, f):
+    """Plain nested enumeration: event times by (lo, hi), then the variables
+    in first-occurrence order, each over the whole object domain."""
+    names = top.free_vars_ordered(f)
+    domain = list(m.objects())
+    full = m.timeline.full()
+    for et in m.timeline.periods():
+        idx = EvalIndex(st, et, full)
+        for combo in itertools.product(domain, repeat=len(names)):
+            g = dict(zip(names, combo))
+            if eval_top_at(m, idx, g, f):
+                return g, et
+    return None
+
+
+def test_denot_matches_naive_enumeration(m0):
+    """The pruned search equals plain enumeration, witness included."""
+    m = m0.model
+    formulas = [
+        "Past[?e, empty(tank5)]",
+        "At[d_jan, Past[?e, empty(tank5)]]",
+        "building(?x, bridge2)",
+        "Part[minute, ?m] & At[?m, empty(tank5)]",
+        "Part[fivepm, ?m] & After[?m, Past[?e, empty(tank5)]]",
+        "Culm[inspecting(?w, ba737)]",
+        "Ntense[?n, inspecting(jadams, ?a)]",
+        "Perf[?f, building(housecorp, ?b)]",
+        "Past[?e, inspecting(?e, ba737)]",  # false: ?e is a period and an atom
+        "Before[?b, building(?b, bridge2)]",  # false for the same reason
+    ]
+    for text in formulas:
+        f = parse_top(text)
+        for st in (2, 7):
+            assert denot_top_witness(m, st, f) == _naive_top_witness(m, st, f), (
+                text, st)
+
+
+def _naive_bot_witness(m, st, f):
+    names = bot.free_vars_ordered(f)
+    for combo in itertools.product(list(m.objects()), repeat=len(names)):
+        g = dict(zip(names, combo))
+        if bot.eval_bot(m, st, g, f):
+            return g
+    return None
+
+
+def test_searches_match_naive_enumeration_on_generated_cases():
+    """Both searches find the witness plain enumeration finds first, on the
+    generated cases whose enumeration fits an evaluation budget, with and
+    without a translator mutation."""
+    budget = 20_000
+    params = GenParams(timeline_size=4, atom_count=2, max_free_vars=2, seed=1)
+    checked = {"top": 0, "bot": 0}
+    for i in range(200):
+        m, st, f = gen_case(params, i)
+        size = len(list(m.objects()))
+        if len(m.timeline.periods()) * size ** len(top.free_vars_ordered(f)) <= budget:
+            assert denot_top_witness(m, st, f) == _naive_top_witness(m, st, f), i
+            checked["top"] += 1
+        derived = derive_bot_model(m)
+        for mutation in (None, "drop-past-narrowing"):
+            translated = translate(f, mutation=mutation)
+            if size ** len(bot.free_vars_ordered(translated)) <= budget:
+                assert bot.denot_bot_witness(
+                    derived, st, translated
+                ) == _naive_bot_witness(derived, st, translated), (i, mutation)
+                checked["bot"] += 1
+    assert checked["top"] >= 150 and checked["bot"] >= 300, checked
+
+
+def test_unresolved_references_keep_their_outcome(m0):
+    """As in BOT: with an unresolved name the search keeps the whole domain,
+    so the clause that raises is reached although no value satisfies the
+    inspecting literal as a period."""
+    raising = {
+        "Ntense[?n, nosuch(tank5)] & inspecting(?n, ba737)": UnknownFunctor,
+        "Ntense[?n, empty(nosuch)] & inspecting(?n, ba737)": UnknownConstant,
+        "Ntense[?n, Part[nosuch, ?n]] & inspecting(?n, ba737)": UnknownPartitioning,
+    }
+    for text, error in raising.items():
+        with pytest.raises(error):
+            denot_top_witness(m0.model, 7, parse_top(text))
