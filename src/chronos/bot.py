@@ -11,6 +11,7 @@ collapses to false at every atom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from . import lexer
 from .core import (
@@ -27,6 +28,7 @@ from .core import (
     UnknownPartitioning,
     Var,
     intersect,
+    raising,
 )
 from .lexer import ArityError, ParseError, TokenStream
 
@@ -450,82 +452,326 @@ def print_bot(f) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: each conjunct is compiled once into a closure g -> bool
 
 
-def _const_value(m, name):
+class _Fixed:
+    """A subexpression folded when it is compiled: its value under every
+    assignment, because it reads no variable and names nothing missing."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _closure(x):
+    """A compiled subexpression as a callable g -> value."""
+    if type(x) is _Fixed:
+        value = x.value
+        return lambda g: value
+    return x
+
+
+def _evaluate(x, g):
+    """Run a compiled subexpression; a test reads g[name] directly, so an
+    unbound variable surfaces as KeyError and is reported here."""
+    if type(x) is _Fixed:
+        return x.value
     try:
-        return m.consts[name]
-    except KeyError:
-        raise UnknownConstant(name) from None
+        return x(g)
+    except KeyError as e:
+        raise UnboundVariable(e.args[0]) from None
 
 
-def _var_value(g, name):
-    try:
-        return g[name]
-    except KeyError:
-        raise UnboundVariable(name) from None
+class _Compiler:
+    """Compiles BOT expressions against one model and speech time.
+
+    One walk over a conjunct gives its test, its variables in
+    first-occurrence order and the candidate filters it implies.  A part
+    that reads no variable is folded to its value, unless the clauses
+    would skip it.  A functor, constant or partitioning the model lacks
+    compiles to a closure that raises where evaluation reaches it, and
+    clears `resolved`, which turns every filter off.
+    """
+
+    def __init__(self, m: BotModel, st: int):
+        self.m = m
+        self.st = st
+        self.last = m.timeline.t_last
+        self.filters = []  # callables plan -> None
+        self.resolved = True
+        self._seen = []  # variable occurrences, in walk order
+
+    def conjunct(self, f):
+        """(test g -> bool, the conjunct's variables in first-occurrence order)."""
+        start = len(self._seen)
+        compile = _ATOMS.get(type(f))
+        if compile is None:
+            raise TypeError(f"not a BOT formula: {f!r}")
+        test = _closure(compile(self, f))
+        return test, list(dict.fromkeys(self._seen[start:]))
+
+    def term(self, t):
+        compile = _TERMS.get(type(t))
+        if compile is None:
+            raise TypeError(f"not a BOT term: {t!r}")
+        return compile(self, t)
+
+    def point(self, e):
+        if type(e) not in _POINT_TYPES:
+            raise TypeError(f"not a point expression: {e!r}")
+        return _TERMS[type(e)](self, e)
+
+    def period(self, e):
+        if type(e) not in _PERIOD_TYPES:
+            raise TypeError(f"not a period expression: {e!r}")
+        return _TERMS[type(e)](self, e)
+
+    def _periods_only(self, name):
+        self.filters.append(lambda plan: plan.periods_only(name))
+
+    # terms
+
+    def _var(self, t):
+        self._seen.append(t.name)
+        return itemgetter(t.name)
+
+    def _const(self, t):
+        if t.name not in self.m.consts:
+            self.resolved = False
+            return raising(UnknownConstant, t.name)
+        return _Fixed(self.m.consts[t.name])
+
+    def _anchor(self, e):
+        t = type(e)
+        return _Fixed(0 if t is Beg else self.st if t is Now else self.last)
+
+    def _bound(self, e):
+        per = self.period(e.per)
+        bound = attrgetter("lo" if type(e) is Earliest else "hi")
+        if type(per) is _Fixed:
+            p = per.value
+            return _Fixed(bound(p) if type(p) is Period else UNDEFINED)
+        return lambda g: bound(p) if type(p := per(g)) is Period else UNDEFINED
+
+    def _succ(self, e):
+        last = self.last
+        x = self.point(e.point)
+
+        def succ(v):
+            return UNDEFINED if v is UNDEFINED or v >= last else v + 1
+
+        if type(x) is _Fixed:
+            return _Fixed(succ(x.value))
+        return lambda g: succ(x(g))
+
+    def _interval(self, e):
+        lo, hi = self.point(e.lo), self.point(e.hi)
+        lo_shift = 0 if e.lo_closed else 1
+        hi_shift = 0 if e.hi_closed else 1
+
+        def span(a, b):
+            if a is UNDEFINED or b is UNDEFINED:
+                return UNDEFINED
+            a += lo_shift
+            b -= hi_shift
+            return Period(a, b) if a <= b else EMPTY
+
+        if type(lo) is _Fixed and type(hi) is _Fixed:
+            return _Fixed(span(lo.value, hi.value))
+        lo, hi = _closure(lo), _closure(hi)
+        return lambda g: span(lo(g), hi(g))
+
+    def _intersect(self, e):
+        a, b = self.period(e.left), self.period(e.right)
+        if type(a) is _Fixed and a.value is UNDEFINED:
+            return a  # the right operand is never evaluated
+        if type(a) is _Fixed and type(b) is _Fixed:
+            return b if b.value is UNDEFINED else _Fixed(intersect(a.value, b.value))
+        a, b = _closure(a), _closure(b)
+
+        def meet(g):
+            x = a(g)
+            if x is UNDEFINED:
+                return UNDEFINED
+            y = b(g)
+            return UNDEFINED if y is UNDEFINED else intersect(x, y)
+
+        return meet
+
+    def _termref(self, e):
+        if type(e.term) is Var:
+            self._periods_only(e.term.name)
+        x = self.term(e.term)
+        if type(x) is _Fixed:
+            v = x.value
+            return _Fixed(v if type(v) is Period else UNDEFINED)
+        return lambda g: v if type(v := x(g)) is Period else UNDEFINED
+
+    # atoms
+
+    def _literal(self, f):
+        tuples = self.m.true_tuples(f.functor, len(f.args))
+        args = [self.term(a) for a in f.args]
+        if tuples is None:
+            self.resolved = False
+            return raising(UnknownFunctor, f"{f.functor}/{len(f.args)}")
+        consts = self.m.consts
+        key = tuple(
+            a if type(a) is Var else consts.get(a.name) if type(a) is Const
+            else None
+            for a in f.args
+        )
+        self.filters.append(lambda plan: plan.semijoin(tuples, key))
+        if all(type(a) is Var or type(x) is _Fixed and x.value is not UNDEFINED
+               for a, x in zip(f.args, args)):
+            # the folded arguments stay in place; only variables are read
+            pattern = tuple(
+                a if type(a) is Var else x.value for a, x in zip(f.args, args))
+            slots = [(k, a.name) for k, a in enumerate(f.args) if type(a) is Var]
+            if not slots:
+                return _Fixed(pattern in tuples)
+
+            def literal(g):
+                vals = list(pattern)
+                for k, name in slots:
+                    vals[k] = g[name]
+                return tuple(vals) in tuples
+
+            return literal
+        args = [_closure(x) for x in args]
+
+        def literal(g):
+            vals = tuple([arg(g) for arg in args])
+            return not any(v is UNDEFINED for v in vals) and vals in tuples
+
+        return literal
+
+    def _operand(self, e):
+        """A subper operand: a variable is read as it is bound, since subper
+        rejects anything but a period anyway."""
+        if type(e) is TermRef and type(e.term) is Var:
+            self._periods_only(e.term.name)
+            return self._var(e.term)
+        return self.period(e)
+
+    def _subper(self, f):
+        a, b = self._operand(f.left), self._operand(f.right)
+        if type(a) is _Fixed and (type(a.value) is not Period or type(b) is _Fixed):
+            x, y = a.value, b.value if type(b) is _Fixed else None
+            return _Fixed(type(x) is Period and type(y) is Period
+                          and y.lo <= x.lo and x.hi <= y.hi)
+        a, b = _closure(a), _closure(b)
+
+        def subper(g):
+            x = a(g)
+            if type(x) is not Period:
+                return False
+            y = b(g)
+            return type(y) is Period and y.lo <= x.lo and x.hi <= y.hi
+
+        return subper
+
+    def _eq(self, f):
+        start = len(self._seen)
+        a = self.term(f.left)
+        middle = len(self._seen)
+        b = self.term(f.right)
+        sides = ((f.left, b, self._seen[middle:]),
+                 (f.right, a, self._seen[start:middle]))
+        for v, other, needs in sides:
+            if type(v) is Var:
+                self.filters.append(
+                    lambda plan, name=v.name, needs=needs, value=_closure(other):
+                    plan.equal_to(name, needs, value))
+        if type(a) is _Fixed and a.value is UNDEFINED:
+            return _Fixed(False)
+        if type(a) is _Fixed and type(b) is _Fixed:
+            return _Fixed(b.value is not UNDEFINED and a.value == b.value)
+        a, b = _closure(a), _closure(b)
+
+        def eq(g):
+            x = a(g)
+            if x is UNDEFINED:
+                return False
+            y = b(g)
+            return y is not UNDEFINED and x == y
+
+        return eq
+
+    def _is_period(self, f):
+        if type(f.term) is Var:
+            self._periods_only(f.term.name)
+        x = self.term(f.term)
+        if type(x) is _Fixed:
+            return _Fixed(type(x.value) is Period)
+        return lambda g: type(x(g)) is Period
+
+    def _in_part(self, f):
+        part = self.m.partitioning(f.part)
+        x = self.term(f.term)
+        if part is None:
+            self.resolved = False
+            return raising(UnknownPartitioning, f.part)
+        if type(f.term) is Var:
+            name = f.term.name
+            self.filters.append(lambda plan: plan.only(name, part.blocks))
+        blocks = frozenset(part.blocks)
+        if type(x) is _Fixed:
+            return _Fixed(type(x.value) is Period and x.value in blocks)
+        return lambda g: type(v := x(g)) is Period and v in blocks
+
+    def _prec(self, f):
+        a, b = self.point(f.left), self.point(f.right)
+        if type(a) is _Fixed and a.value is UNDEFINED:
+            return _Fixed(False)
+        if type(a) is _Fixed and type(b) is _Fixed:
+            return _Fixed(b.value is not UNDEFINED and a.value < b.value)
+        a, b = _closure(a), _closure(b)
+
+        def prec(g):
+            x = a(g)
+            if x is UNDEFINED:
+                return False
+            y = b(g)
+            return y is not UNDEFINED and x < y
+
+        return prec
+
+
+_TERMS = {
+    Var: _Compiler._var,
+    Const: _Compiler._const,
+    Beg: _Compiler._anchor,
+    Now: _Compiler._anchor,
+    End: _Compiler._anchor,
+    Earliest: _Compiler._bound,
+    Latest: _Compiler._bound,
+    Succ: _Compiler._succ,
+    Interval: _Compiler._interval,
+    Intersect: _Compiler._intersect,
+    TermRef: _Compiler._termref,
+}
+
+_ATOMS = {
+    Literal: _Compiler._literal,
+    Subper: _Compiler._subper,
+    Eq: _Compiler._eq,
+    IsPeriod: _Compiler._is_period,
+    InPart: _Compiler._in_part,
+    Prec: _Compiler._prec,
+}
 
 
 def eval_point(m: BotModel, st: int, g: Assignment, e):
     """Time-point denoted by a point expression, or UNDEFINED."""
-    t = type(e)
-    if t is Beg:
-        return 0
-    if t is Now:
-        return st
-    if t is End:
-        return m.timeline.t_last
-    if t in (Earliest, Latest):
-        p = eval_period(m, st, g, e.per)
-        if not isinstance(p, Period):
-            return UNDEFINED
-        return p.lo if t is Earliest else p.hi
-    if t is Succ:
-        v = eval_point(m, st, g, e.point)
-        if v is UNDEFINED:
-            return UNDEFINED
-        return m.timeline.next(v)
-    raise TypeError(f"not a point expression: {e!r}")
+    return _evaluate(_Compiler(m, st).point(e), g)
 
 
 def eval_period(m: BotModel, st: int, g: Assignment, e):
     """Point set denoted by a period expression: Period, EMPTY, or UNDEFINED."""
-    t = type(e)
-    if t is Interval:
-        a = eval_point(m, st, g, e.lo)
-        b = eval_point(m, st, g, e.hi)
-        if a is UNDEFINED or b is UNDEFINED:
-            return UNDEFINED
-        lo = a if e.lo_closed else a + 1
-        hi = b if e.hi_closed else b - 1
-        return Period(lo, hi) if lo <= hi else EMPTY
-    if t is Intersect:
-        a = eval_period(m, st, g, e.left)
-        if a is UNDEFINED:
-            return UNDEFINED
-        b = eval_period(m, st, g, e.right)
-        if b is UNDEFINED:
-            return UNDEFINED
-        return intersect(a, b)
-    if t is TermRef:
-        v = _denote_term(m, st, g, e.term)
-        return v if isinstance(v, Period) else UNDEFINED
-    raise TypeError(f"not a period expression: {e!r}")
-
-
-def _denote_term(m, st, g, term):
-    """Denotation of any BOT term: object, time-point, EMPTY, or UNDEFINED."""
-    t = type(term)
-    if t is Const:
-        return _const_value(m, term.name)
-    if t is Var:
-        return _var_value(g, term.name)
-    if t in _POINT_TYPES:
-        return eval_point(m, st, g, term)
-    if t in _PERIOD_TYPES:
-        return eval_period(m, st, g, term)
-    raise TypeError(f"not a BOT term: {term!r}")
+    return _evaluate(_Compiler(m, st).period(e), g)
 
 
 def eval_bot(m: BotModel, st: int, g: Assignment, f) -> bool:
@@ -534,93 +780,8 @@ def eval_bot(m: BotModel, st: int, g: Assignment, f) -> bool:
     Atoms with an undefined argument are false; subper and part require
     period denotations, eq requires identical defined denotations.
     """
-    t = type(f)
-    if t is And:
-        return eval_bot(m, st, g, f.left) and eval_bot(m, st, g, f.right)
-    if t is Literal:
-        tuples = m.true_tuples(f.functor, len(f.args))
-        if tuples is None:
-            raise UnknownFunctor(f"{f.functor}/{len(f.args)}")
-        vals = tuple(_denote_term(m, st, g, a) for a in f.args)
-        if any(v is UNDEFINED for v in vals):
-            return False
-        return vals in tuples
-    if t is Subper:
-        a = eval_period(m, st, g, f.left)
-        if not isinstance(a, Period):
-            return False
-        b = eval_period(m, st, g, f.right)
-        if not isinstance(b, Period):
-            return False
-        return b.lo <= a.lo and a.hi <= b.hi
-    if t is Eq:
-        a = _denote_term(m, st, g, f.left)
-        if a is UNDEFINED:
-            return False
-        b = _denote_term(m, st, g, f.right)
-        if b is UNDEFINED:
-            return False
-        return a == b
-    if t is IsPeriod:
-        return isinstance(_denote_term(m, st, g, f.term), Period)
-    if t is InPart:
-        part = m.partitioning(f.part)
-        if part is None:
-            raise UnknownPartitioning(f.part)
-        return _denote_term(m, st, g, f.term) in part
-    if t is Prec:
-        a = eval_point(m, st, g, f.left)
-        if a is UNDEFINED:
-            return False
-        b = eval_point(m, st, g, f.right)
-        if b is UNDEFINED:
-            return False
-        return a < b
-    raise TypeError(f"not a BOT formula: {f!r}")
-
-
-def _narrow(m: BotModel, st: int, atoms: list, plan) -> bool:
-    """Add the conjuncts' candidate filters to plan; False if they name a
-    functor, constant or partitioning the model lacks.
-
-    A literal's variables range over its true tuples (a semi-join), eq with
-    an earlier-bound side leaves one value, part leaves the blocks, and a
-    variable in period(...) or in any period-expression position must be a
-    period: on any other value the conjunct is false.
-    """
-    for atom in atoms:
-        t = type(atom)
-        for s in _atom_subterms(atom):
-            if type(s) is Const and s.name not in m.consts:
-                return False
-            if type(s) is TermRef and type(s.term) is Var:
-                plan.periods_only(s.term.name)
-        if t is Literal:
-            tuples = m.true_tuples(atom.functor, len(atom.args))
-            if tuples is None:
-                return False
-            plan.semijoin(tuples, tuple(
-                a if type(a) is Var
-                else m.consts[a.name] if type(a) is Const
-                else None
-                for a in atom.args
-            ))
-        elif t is InPart:
-            part = m.partitioning(atom.part)
-            if part is None:
-                return False
-            if type(atom.term) is Var:
-                plan.only(atom.term.name, part.blocks)
-        elif t is IsPeriod and type(atom.term) is Var:
-            plan.periods_only(atom.term.name)
-        elif t is Eq:
-            for v, e in ((atom.left, atom.right), (atom.right, atom.left)):
-                if type(v) is Var:
-                    needs = [s.name for s in _subterms(e) if type(s) is Var]
-                    plan.equal_to(
-                        v.name, needs, lambda g, e=e: _denote_term(m, st, g, e)
-                    )
-    return True
+    compiler = _Compiler(m, st)  # a conjunct is compiled once it is reached
+    return all(_evaluate(compiler.conjunct(atom)[0], g) for atom in flatten(f))
 
 
 def denot_bot_witness(m: BotModel, st: int, f):
@@ -633,39 +794,18 @@ def denot_bot_witness(m: BotModel, st: int, f):
     allows; the witness is the one full nested enumeration over the same
     orders would find first.
     """
-    atoms = flatten(f)
-    order = free_vars_ordered(f)
-    index = {name: i for i, name in enumerate(order)}
-    ready_at = [[] for _ in range(len(order) + 1)]
-    for atom in atoms:
-        needed = []
-        _atom_vars(atom, needed)
-        level = max((index[v] + 1 for v in needed), default=0)
-        ready_at[level].append(atom)
-
-    domain = list(m.objects())
-    plan = CandidatePlan(domain, order)
-    if not _narrow(m, st, atoms, plan):
-        # a pruned value could skip a conjunct that raises: keep the domain
-        plan = CandidatePlan(domain, order)
-    g = {}
-
-    def dfs(level):
-        for atom in ready_at[level]:
-            if not eval_bot(m, st, g, atom):
-                return None
-        if level == len(order):
-            return dict(g)
-        name = order[level]
-        for val in plan.candidates(level, g):
-            g[name] = val
-            found = dfs(level + 1)
-            if found is not None:
-                return found
-        g.pop(name, None)  # never bound when there are no candidates
-        return None
-
-    return dfs(0)
+    compiler = _Compiler(m, st)
+    conjuncts = [compiler.conjunct(atom) for atom in flatten(f)]
+    order = list(dict.fromkeys(n for _, names in conjuncts for n in names))
+    level = {name: i + 1 for i, name in enumerate(order)}
+    checks = [[] for _ in range(len(order) + 1)]
+    for test, names in conjuncts:
+        checks[max((level[n] for n in names), default=0)].append(test)
+    plan = CandidatePlan(m.domain.index, order)
+    if compiler.resolved:  # else a pruned value could skip a conjunct that raises
+        for narrow in compiler.filters:
+            narrow(plan)
+    return plan.search(checks)
 
 
 def denot_bot(m: BotModel, st: int, f) -> bool:

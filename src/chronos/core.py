@@ -13,6 +13,7 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Union
 
 
@@ -206,6 +207,29 @@ class Partitioning:
         return None
 
 
+class DomainIndex:
+    """A domain listed in enumeration order, with the positions of its
+    objects and of its periods."""
+
+    __slots__ = ("objects", "periods", "_atoms", "_size")
+
+    def __init__(self, atoms: tuple, timeline: Timeline):
+        self.objects = list(atoms) + timeline.periods()
+        self.periods = range(len(atoms), len(self.objects))
+        self._atoms = {a: i for i, a in enumerate(atoms)}
+        self._size = timeline.size
+
+    def position(self, o):
+        """o's position in objects, or None when o is not in the domain."""
+        if type(o) is not Period:
+            return self._atoms.get(o)
+        if o.hi >= self._size:
+            return None
+        # the periods come by (lo, hi): those starting before o.lo, then o's
+        lo = o.lo
+        return len(self._atoms) + lo * self._size - lo * (lo - 1) // 2 + o.hi - lo
+
+
 @dataclass(frozen=True)
 class ObjectDomain:
     """Named atoms plus, implicitly, every period over the timeline."""
@@ -217,10 +241,15 @@ class ObjectDomain:
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("duplicate atom names")
 
+    @cached_property
+    def index(self) -> DomainIndex:
+        """Built on first use and shared by every model over this domain,
+        so a TOP model and the BOT model derived from it list it once."""
+        return DomainIndex(self.atoms, self.timeline)
+
     def objects(self) -> Iterator[Object]:
         """Deterministic enumeration: atoms in declaration order, then periods."""
-        yield from self.atoms
-        yield from self.timeline.periods()
+        return iter(self.index.objects)
 
     def __contains__(self, o) -> bool:
         if isinstance(o, Period):
@@ -322,31 +351,29 @@ class CandidatePlan:
     the one it narrows.
     """
 
-    def __init__(self, domain: list, order: list):
-        self.domain = domain
-        self._pos = {o: i for i, o in enumerate(domain)}
-        self._periods = frozenset(
-            i for i, o in enumerate(domain) if type(o) is Period
-        )
+    def __init__(self, index: DomainIndex, order: list):
+        self.index = index
+        self.order = order
         self._level = {name: i for i, name in enumerate(order)}
         self._static = [None] * len(order)  # allowed domain positions, or None
         self._dynamic = [[] for _ in order]  # callables g -> set of values
-        self._fixed = None
 
-    def _restrict(self, name: str, positions) -> None:
+    def _restrict(self, name, positions) -> None:
         i = self._level[name]
         old = self._static[i]
-        self._static[i] = positions if old is None else old & positions
+        if old is None:
+            self._static[i] = set(positions)
+        else:
+            self._static[i] = old.intersection(positions)
 
-    def only(self, name: str, values) -> None:
+    def only(self, name, values) -> None:
         """Restrict a variable to values, whatever the others are bound to."""
-        pos = self._pos
-        self._restrict(name, {pos[o] for o in values if o in pos})
+        self._restrict(name, set(map(self.index.position, values)) - {None})
 
-    def periods_only(self, name: str) -> None:
-        self._restrict(name, self._periods)
+    def periods_only(self, name) -> None:
+        self._restrict(name, self.index.periods)
 
-    def equal_to(self, name: str, needs, value) -> None:
+    def equal_to(self, name, needs, value) -> None:
         """Restrict a variable to {value(g)} once all names in needs are bound."""
         i = self._level[name]
         if all(self._level[n] < i for n in needs):
@@ -393,25 +420,54 @@ class CandidatePlan:
 
     def candidates(self, level: int, g: Assignment) -> list:
         """Values for the variable at level, given the earlier bindings in g."""
-        domain = self.domain
-        if self._fixed is None:
-            self._fixed = [
-                domain if s is None else [domain[i] for i in sorted(s)]
-                for s in self._static
-            ]
+        objects = self.index.objects
+        static = self._static[level]
         dynamic = self._dynamic[level]
         if not dynamic:
-            return self._fixed[level]
-        pos = self._pos
-        positions = {
-            pos[o]
-            for o in set.intersection(*(narrow(g) for narrow in dynamic))
-            if o in pos
-        }
-        static = self._static[level]
+            if static is None:
+                return objects
+            return [objects[i] for i in sorted(static)]
+        values = set.intersection(*(narrow(g) for narrow in dynamic))
+        positions = set(map(self.index.position, values)) - {None}
         if static is not None:
             positions &= static
-        return [domain[i] for i in sorted(positions)]
+        return [objects[i] for i in sorted(positions)]
+
+    def search(self, checks: list):
+        """The first assignment of the order's names, in candidate order,
+        that passes every check, or None.
+
+        checks[k] holds tests g -> bool that read at most the first k names;
+        they run, in list order, as soon as those names are bound, and the
+        first that fails cuts the branch.  This is the one depth-first
+        search behind both witness searches.
+        """
+        order = self.order
+        last = len(order)
+        g = {}
+        # candidates no filter of which reads another variable, listed once
+        fixed = [
+            None if self._dynamic[k] else self.candidates(k, g)
+            for k in range(last)
+        ]
+
+        def dfs(level):
+            for check in checks[level]:
+                if not check(g):
+                    return None
+            if level == last:
+                return dict(g)
+            name = order[level]
+            values = fixed[level]
+            for val in self.candidates(level, g) if values is None else values:
+                g[name] = val
+                found = dfs(level + 1)
+                if found is not None:
+                    return found
+            g.pop(name, None)  # never bound when there are no candidates
+            return None
+
+        return dfs(0)
 
 
 class FunctorCollision(Exception):
@@ -436,6 +492,13 @@ class UnknownConstant(EvalError):
 
 class UnknownPartitioning(EvalError):
     pass
+
+
+def raising(error, arg):
+    """A compiled closure that raises error(arg) when evaluation reaches it."""
+    def fail(*_):
+        raise error(arg)
+    return fail
 
 
 @dataclass(frozen=True)

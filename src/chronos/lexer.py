@@ -1,8 +1,9 @@
 """Tokenizer and token-stream cursor shared by the TOP and BOT parsers.
 
 Both concrete syntaxes use the same lexical inventory: identifiers,
-``?``-prefixed variables, unsigned integers, the punctuation ``[ ] ( ) , &``,
-insignificant whitespace, and ``#`` line comments.
+``?``-prefixed variables, unsigned integers in ASCII digits, the
+punctuation ``[ ] ( ) , &``, insignificant whitespace, and ``#`` line
+comments.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ INT = "int"
 EOF = "eof"
 
 _PUNCT = "[](),&"
+_DIGITS = "0123456789"  # str.isdigit also accepts other scripts' digits
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,9 @@ def tokenize(text: str) -> list:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token(INT, text[i:j], line, start_col))
             col += j - i

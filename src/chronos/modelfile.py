@@ -61,7 +61,8 @@ class CompiledModel:
 
 
 _IDENT = r"[A-Za-z_]\w*"
-_PERIOD_RE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]")
+_NUMBER = r"[0-9]+"  # \d and str.isdigit also match other scripts' digits
+_PERIOD_RE = re.compile(rf"\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]")
 
 
 def _parse_periods(text: str, lineno: int) -> list:
@@ -104,14 +105,14 @@ class _Compiler:
     def _d_timeline(self, lineno, rest):
         if self.size is not None:
             raise ModelFileError("timeline declared twice", lineno)
-        if not rest.isdigit() or int(rest) < 1:
+        if not re.fullmatch(_NUMBER, rest) or int(rest) < 1:
             raise ModelFileError("timeline needs a positive size", lineno)
         self.size = int(rest)
 
     def _d_speech(self, lineno, rest):
         if self.speech is not None:
             raise ModelFileError("speech declared twice", lineno)
-        if not rest.isdigit():
+        if not re.fullmatch(_NUMBER, rest):
             raise ModelFileError("speech needs a time-point", lineno)
         self.speech = int(rest)
 
@@ -136,7 +137,7 @@ class _Compiler:
         self.consts[name] = periods[0]
 
     def _d_pred(self, lineno, rest):
-        m = re.fullmatch(rf"({_IDENT})\s*/\s*(\d+)", rest)
+        m = re.fullmatch(rf"({_IDENT})\s*/\s*({_NUMBER})", rest)
         if not m:
             raise ModelFileError("expected: pred name/arity", lineno)
         name, arity = m.group(1), int(m.group(2))
@@ -191,7 +192,7 @@ class _Compiler:
         name, rhs = m.group(1), m.group(2).strip()
         if name in self.cparts or name in self.gparts:
             raise ModelFileError(f"partitioning {name!r} declared twice", lineno)
-        bm = re.fullmatch(r"blocks\s+(\d+)", rhs)
+        bm = re.fullmatch(rf"blocks\s+({_NUMBER})", rhs)
         if bm:
             if kind != COMPLETE:
                 raise ModelFileError("blocks form is for cpart only", lineno)

@@ -26,6 +26,7 @@ from .core import (
     UnknownPartitioning,
     Var,
     intersect,
+    raising,
     subper,
 )
 from .lexer import ArityError, ParseError, TokenStream
@@ -377,234 +378,304 @@ def print_top(f) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: a formula is compiled once into a closure c(et, lt, g)
 
 _UNKNOWN = object()  # partial-assignment result: truth not yet determined
 
-_NO_PERIODS = frozenset()
+#: the event time's key in a search assignment; no variable name equals it
+_EVENT_TIME = object()
 
 
-def _lookup(g, name, strict):
-    try:
-        return g[name]
-    except KeyError:
-        if strict:
-            raise UnboundVariable(name) from None
-        return _UNKNOWN
+def _never(et, lt, g):
+    return False
 
 
-def _denote(m, g, term, strict):
-    if type(term) is Const:
-        try:
-            return m.consts[term.name]
-        except KeyError:
-            raise UnknownConstant(term.name) from None
-    return _lookup(g, term.name, strict)
+def _unbound_error(name):
+    raise UnboundVariable(name)
 
 
-def _denote_args(m, g, args, strict):
-    vals = []
-    unknown = False
-    for a in args:
-        v = _denote(m, g, a, strict)
-        if v is _UNKNOWN:
-            unknown = True
-        vals.append(v)
-    return (None if unknown else tuple(vals))
+def _unbound_unknown(name):
+    return _UNKNOWN
 
 
-def _eval(m, st, et, lt, g, f, strict):
-    """One clause per operator.  With strict=False an unbound variable makes
-    the result _UNKNOWN instead of an error; False is only returned when the
-    formula is false under every extension of g."""
-    t = type(f)
+class _Compiler:
+    """Compiles TOP formulas against one model and speech time.
 
-    if t is Literal:
-        ext = m.extension(f.functor, len(f.args))
+    A formula becomes a closure c(et, lt, g), one per operator clause.
+    With strict=False an unbound variable makes the result _UNKNOWN
+    instead of an error; False is only returned when the formula is false
+    under every extension of g.  Windows and block spans that depend on
+    neither the index nor the assignment are computed here, once.  A
+    functor, constant or partitioning the model lacks compiles to a
+    closure that raises where evaluation reaches it, and clears
+    `resolved`, which turns every candidate filter off.
+    """
+
+    def __init__(self, m: TopModel, st: int, strict: bool):
+        self.m = m
+        self.st = st
+        self.unbound = _unbound_error if strict else _unbound_unknown
+        self.filters = []  # callables plan -> None
+        self.resolved = True
+
+    def formula(self, f):
+        compile = _FORMULAS.get(type(f))
+        if compile is None:
+            raise TypeError(f"not a TOP formula: {f!r}")
+        return compile(self, f)
+
+    def _missing(self, error, arg):
+        self.resolved = False
+        return raising(error, arg)
+
+    def _periods_only(self, name):
+        self.filters.append(lambda plan: plan.periods_only(name))
+
+    def _literal(self, f):
+        return self._situation(f, culm=False)
+
+    def _culm(self, f):
+        return self._situation(f.body, culm=True)
+
+    def _situation(self, lit, culm):
+        """A literal is true iff et fits the window and some maximal period
+        covers it; under Culm, iff the culmination flag is set and et runs
+        from the situation's first start to its last stop."""
+        m, unbound = self.m, self.unbound
+        functor, n = lit.functor, len(lit.args)
+        ext = m.extension(functor, n)
         if ext is None:
-            raise UnknownFunctor(f"{f.functor}/{len(f.args)}")
-        # true iff et fits the window and some maximal period covers it
-        if not subper(et, lt):
-            return False
-        vals = _denote_args(m, g, f.args, strict)
-        if vals is None:
-            return _UNKNOWN
-        ps = ext.get(vals, _NO_PERIODS)
-        return any(subper(et, p) for p in ps)
+            return self._missing(UnknownFunctor, f"{functor}/{n}")
+        pattern = []  # the arguments, each constant replaced by its object
+        for a in lit.args:
+            if type(a) is Var:
+                pattern.append(a)
+            elif a.name in m.consts:
+                pattern.append(m.consts[a.name])
+            else:
+                self.resolved = False
+                before = [v.name for v in pattern if type(v) is Var]
 
-    if t is And:
-        ra = _eval(m, st, et, lt, g, f.left, strict)
-        if ra is False:
-            return False
-        rb = _eval(m, st, et, lt, g, f.right, strict)
-        if rb is False:
-            return False
-        if ra is _UNKNOWN or rb is _UNKNOWN:
-            return _UNKNOWN
-        return True
+                def unresolved(et, lt, g, name=a.name):
+                    if not subper(et, lt):
+                        return False
+                    for v in before:
+                        if v not in g:
+                            unbound(v)
+                    raise UnknownConstant(name)
 
-    if t is Part:
-        part = m.partitioning(f.part)
+                return unresolved
+        pattern = tuple(pattern)
+        self.filters.append(lambda plan: plan.semijoin(
+            [args for args, ps in ext.items()
+             if ps and (not culm or m.culm_flag(functor, n, args))],
+            pattern,
+        ))
+
+        def holds(et, args):
+            ps = ext.get(args)
+            if not ps:
+                return False
+            if culm:
+                if not m.culm_flag(functor, n, args):
+                    return False
+                return (et.lo == min(p.lo for p in ps)
+                        and et.hi == max(p.hi for p in ps))
+            for p in ps:
+                if p.lo <= et.lo and et.hi <= p.hi:
+                    return True
+            return False
+
+        slots = [(k, a.name) for k, a in enumerate(lit.args) if type(a) is Var]
+        if not slots:
+            return lambda et, lt, g: subper(et, lt) and holds(et, pattern)
+
+        def situation(et, lt, g):
+            if not subper(et, lt):
+                return False
+            args = list(pattern)
+            for k, name in slots:
+                v = g.get(name, _UNKNOWN)
+                if v is _UNKNOWN:
+                    return unbound(name)
+                args[k] = v
+            return holds(et, tuple(args))
+
+        return situation
+
+    def _and(self, f):
+        a, b = self.formula(f.left), self.formula(f.right)
+
+        def both(et, lt, g):
+            ra = a(et, lt, g)
+            if ra is False:
+                return False
+            rb = b(et, lt, g)
+            if rb is False:
+                return False
+            return rb if ra is True else _UNKNOWN
+
+        return both
+
+    def _part(self, f):
+        part = self.m.partitioning(f.part)
         if part is None:
-            raise UnknownPartitioning(f.part)
-        v = _lookup(g, f.var.name, strict)
-        if v is _UNKNOWN:
-            return _UNKNOWN
-        return v in part
+            return self._missing(UnknownPartitioning, f.part)
+        name, unbound = f.var.name, self.unbound
+        self.filters.append(lambda plan: plan.only(name, part.blocks))
+        blocks = frozenset(part.blocks)
 
-    if t is Pres:
+        def in_part(et, lt, g):
+            v = g.get(name, _UNKNOWN)
+            if v is _UNKNOWN:
+                return unbound(name)
+            return type(v) is Period and v in blocks
+
+        return in_part
+
+    def _pres(self, f):
         # st must fall within the event time; lt is not consulted
-        if st not in et:
-            return False
-        return _eval(m, st, et, lt, g, f.body, strict)
+        st, body = self.st, self.formula(f.body)
+        return lambda et, lt, g: et.lo <= st <= et.hi and body(et, lt, g)
 
-    if t is Past:
+    def _past(self, f):
         # narrow lt to the part strictly before the speech time
+        name, unbound, st = f.var.name, self.unbound, self.st
+        self._periods_only(name)
+        body = self.formula(f.body)
         window = Period(0, st - 1) if st > 0 else EMPTY
-        lt2 = intersect(lt, window)
-        v = _lookup(g, f.var.name, strict)
-        if v is _UNKNOWN:
-            r = _eval(m, st, et, lt2, g, f.body, strict)
-            return False if r is False else _UNKNOWN
-        if v != et:
-            return False
-        return _eval(m, st, et, lt2, g, f.body, strict)
 
-    if t is Culm:
-        lit = f.body
-        ext = m.extension(lit.functor, len(lit.args))
-        if ext is None:
-            raise UnknownFunctor(f"{lit.functor}/{len(lit.args)}")
-        if not subper(et, lt):
-            return False
-        vals = _denote_args(m, g, lit.args, strict)
-        if vals is None:
-            return _UNKNOWN
-        if not m.culm_flag(lit.functor, len(lit.args), vals):
-            return False
-        ps = ext.get(vals, _NO_PERIODS)
-        if not ps:
-            return False
-        # et must run from the situation's first start to its last stop
-        hull = Period(min(p.lo for p in ps), max(p.hi for p in ps))
-        return et == hull
+        def past(et, lt, g):
+            lt = intersect(lt, window)
+            v = g.get(name, _UNKNOWN)
+            if v is _UNKNOWN:
+                unbound(name)
+                return False if body(et, lt, g) is False else _UNKNOWN
+            if v != et:
+                return False
+            return body(et, lt, g)
 
-    if t in (At, Before, After):
-        v = _denote(m, g, f.term, strict)
-        if v is _UNKNOWN:
-            return _UNKNOWN
-        if not isinstance(v, Period):
-            return False
-        if t is At:
-            window = v
-        elif t is Before:
-            window = Period(0, v.lo - 1) if v.lo > 0 else EMPTY
-        else:
-            last = m.timeline.t_last
-            window = Period(v.hi + 1, last) if v.hi < last else EMPTY
-        return _eval(m, st, et, intersect(lt, window), g, f.body, strict)
+        return past
 
-    if t is Fills:
+    def _located(self, f):
+        """At, Before and After narrow lt by a window their term names."""
+        t, last = type(f), self.m.timeline.t_last
+
+        def window(v):
+            if t is At:
+                return v
+            if t is Before:
+                return Period(0, v.lo - 1) if v.lo > 0 else EMPTY
+            return Period(v.hi + 1, last) if v.hi < last else EMPTY
+
+        term = f.term
+        if type(term) is Var:
+            self._periods_only(term.name)
+        body = self.formula(f.body)
+        if type(term) is Const:
+            if term.name not in self.m.consts:
+                return self._missing(UnknownConstant, term.name)
+            v = self.m.consts[term.name]
+            if type(v) is not Period:
+                return _never
+            fixed = window(v)
+            return lambda et, lt, g: body(et, intersect(lt, fixed), g)
+        name, unbound = term.name, self.unbound
+
+        def located(et, lt, g):
+            v = g.get(name, _UNKNOWN)
+            if v is _UNKNOWN:
+                return unbound(name)
+            if type(v) is not Period:
+                return False
+            return body(et, intersect(lt, window(v)), g)
+
+        return located
+
+    def _fills(self, f):
         # the event time must cover the whole window
-        if et != lt:
-            return False
-        return _eval(m, st, et, lt, g, f.body, strict)
+        body = self.formula(f.body)
+        return lambda et, lt, g: et == lt and body(et, lt, g)
 
-    if t is Ntense:
-        full = m.timeline.full()
+    def _ntense(self, f):
+        full = self.m.timeline.full()
         if f.var is None:
-            return _eval(m, st, Period(st, st), full, g, f.body, strict)
-        v = _lookup(g, f.var.name, strict)
-        if v is _UNKNOWN:
-            return _UNKNOWN
-        if not isinstance(v, Period):
-            return False
-        return _eval(m, st, v, full, g, f.body, strict)
+            body = self.formula(f.body)
+            now = Period(self.st, self.st)
+            return lambda et, lt, g: body(now, full, g)
+        name, unbound = f.var.name, self.unbound
+        self._periods_only(name)
+        body = self.formula(f.body)
 
-    if t is For:
-        part = m.cparts.get(f.cpart)
+        def ntense(et, lt, g):
+            v = g.get(name, _UNKNOWN)
+            if v is _UNKNOWN:
+                return unbound(name)
+            if type(v) is not Period:
+                return False
+            return body(v, full, g)
+
+        return ntense
+
+    def _for(self, f):
+        body = self.formula(f.body)
+        part = self.m.cparts.get(f.cpart)
         if part is None:
-            raise UnknownPartitioning(f"{f.cpart} (complete partitioning)")
-        # qty consecutive blocks must span et exactly
-        p = part.starting_at(et.lo)
-        if p is None:
-            return False
-        for _ in range(f.qty - 1):
-            if p.hi >= m.timeline.t_last:
-                return False
-            p = part.starting_at(p.hi + 1)
-            if p is None:
-                return False
-        if p.hi != et.hi:
-            return False
-        return _eval(m, st, et, lt, g, f.body, strict)
+            return self._missing(
+                UnknownPartitioning, f"{f.cpart} (complete partitioning)")
+        # qty consecutive blocks must span et exactly: the last point of
+        # the span that starts at each block
+        spans = {}
+        last = self.m.timeline.t_last
+        for p in part.blocks:
+            lo = p.lo
+            for _ in range(f.qty - 1):
+                p = part.starting_at(p.hi + 1) if p.hi < last else None
+                if p is None:
+                    break
+            else:
+                spans[lo] = p.hi
+        return lambda et, lt, g: spans.get(et.lo) == et.hi and body(et, lt, g)
 
-    if t is Perf:
+    def _perf(self, f):
         # the body holds at an earlier event time named by the variable
-        if not subper(et, lt):
-            return False
-        v = _lookup(g, f.var.name, strict)
-        if v is _UNKNOWN:
-            return _UNKNOWN
-        if not isinstance(v, Period):
-            return False
-        if not v.hi < et.lo:
-            return False
-        return _eval(m, st, v, m.timeline.full(), g, f.body, strict)
+        name, unbound, full = f.var.name, self.unbound, self.m.timeline.full()
+        self._periods_only(name)
+        body = self.formula(f.body)
 
-    raise TypeError(f"not a TOP formula: {f!r}")
+        def perf(et, lt, g):
+            if not subper(et, lt):
+                return False
+            v = g.get(name, _UNKNOWN)
+            if v is _UNKNOWN:
+                return unbound(name)
+            if type(v) is not Period or not v.hi < et.lo:
+                return False
+            return body(v, full, g)
+
+        return perf
+
+
+_FORMULAS = {
+    Literal: _Compiler._literal,
+    Culm: _Compiler._culm,
+    And: _Compiler._and,
+    Part: _Compiler._part,
+    Pres: _Compiler._pres,
+    Past: _Compiler._past,
+    At: _Compiler._located,
+    Before: _Compiler._located,
+    After: _Compiler._located,
+    Fills: _Compiler._fills,
+    Ntense: _Compiler._ntense,
+    For: _Compiler._for,
+    Perf: _Compiler._perf,
+}
 
 
 def eval_top_at(m: TopModel, idx: EvalIndex, g: Assignment, f) -> bool:
     """Truth of f at a fixed index under a full assignment of its variables."""
-    return _eval(m, idx.st, idx.et, idx.lt, g, f, strict=True)
-
-
-def _narrow(m, f, plan) -> bool:
-    """Add f's candidate filters to plan; False if f names a functor,
-    constant or partitioning the model lacks.
-
-    Every subformula must hold for f to hold, so a literal's variables
-    range over the tuples with a non-empty period set (under Culm, also a
-    set culmination flag), a Part variable over the blocks, and a variable
-    that Past, Perf or Ntense ties to an event time, or that At, Before or
-    After reads as a window, over the periods.
-    """
-    t = type(f)
-    if t in (Literal, Culm):
-        lit = f if t is Literal else f.body
-        ext = m.extension(lit.functor, len(lit.args))
-        if ext is None or any(
-            type(a) is Const and a.name not in m.consts for a in lit.args
-        ):
-            return False
-        plan.semijoin(
-            [
-                args for args, ps in ext.items()
-                if ps and (t is Literal
-                           or m.culm_flag(lit.functor, len(lit.args), args))
-            ],
-            tuple(a if type(a) is Var else m.consts[a.name] for a in lit.args),
-        )
-        return True
-    if t is And:
-        return _narrow(m, f.left, plan) and _narrow(m, f.right, plan)
-    if t is Part:
-        part = m.partitioning(f.part)
-        if part is None:
-            return False
-        plan.only(f.var.name, part.blocks)
-        return True
-    if t in (Past, Perf) or (t is Ntense and f.var is not None):
-        plan.periods_only(f.var.name)
-    elif t in (At, Before, After):
-        if type(f.term) is Var:
-            plan.periods_only(f.term.name)
-        elif f.term.name not in m.consts:
-            return False
-    elif t is For and f.cpart not in m.cparts:
-        return False
-    return _narrow(m, f.body, plan)
+    return _Compiler(m, idx.st, strict=True).formula(f)(idx.et, idx.lt, g)
 
 
 def denot_top_witness(m: TopModel, st: int, f):
@@ -612,41 +683,33 @@ def denot_top_witness(m: TopModel, st: int, f):
 
     The search is exhaustive over all event times (ordered by (lo, hi)) and
     all assignments of the formula's variables into the object domain
-    (atoms first, then periods); branches are skipped only when a partial
-    assignment already forces the formula false, or when a value fails a
-    candidate filter that every satisfying assignment passes, so the
-    witness is exactly the one plain nested enumeration would find first.
+    (atoms first, then periods).  The event time is the outermost level of
+    the search, and the formula is evaluated from the root at every node,
+    so branches are skipped only when a partial assignment already forces
+    the formula false, or when a value fails a candidate filter that every
+    satisfying assignment passes; the witness is exactly the one plain
+    nested enumeration would find first.
     """
-    order = free_vars_ordered(f)
-    domain = list(m.objects())
-    plan = CandidatePlan(domain, order)
-    if not _narrow(m, f, plan):
-        # a pruned value could skip a clause that raises: keep the domain
-        plan = CandidatePlan(domain, order)
+    compiler = _Compiler(m, st, strict=False)
+    c = compiler.formula(f)
+    order = [_EVENT_TIME] + free_vars_ordered(f)
+    plan = CandidatePlan(m.domain.index, order)
+    plan.periods_only(_EVENT_TIME)
+    if compiler.resolved:  # else a pruned value could skip a clause that raises
+        for narrow in compiler.filters:
+            narrow(plan)
     full = m.timeline.full()
-    for et in m.timeline.periods():
-        found = _search(m, st, et, full, {}, f, order, 0, plan)
-        if found is not None:
-            return found
-    return None
 
+    def holds(g):
+        # unknown keeps the branch open; True reads every variable, so it
+        # comes only once all are bound
+        return c(g[_EVENT_TIME], full, g) is not False
 
-def _search(m, st, et, lt, g, f, order, i, plan):
-    r = _eval(m, st, et, lt, g, f, strict=False)
-    if r is False:
+    found = plan.search([[]] + [[holds]] * len(order))
+    if found is None:
         return None
-    if r is True:
-        full_g = dict(g)
-        for name in order[i:]:
-            full_g[name] = plan.domain[0]
-        return full_g, et
-    for val in plan.candidates(i, g):
-        g[order[i]] = val
-        found = _search(m, st, et, lt, g, f, order, i + 1, plan)
-        if found is not None:
-            return found
-    g.pop(order[i], None)  # never bound when there are no candidates
-    return None
+    et = found.pop(_EVENT_TIME)
+    return found, et
 
 
 def denot_top(m: TopModel, st: int, f) -> bool:

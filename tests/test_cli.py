@@ -82,6 +82,18 @@ def test_eval_input_errors(tmp_path, capsys):
     assert main(["eval", M0, "top", "undeclared(tank5)"]) == 1
 
 
+def test_non_ascii_digits_are_input_errors(tmp_path, capsys):
+    for digit in ("\u00b2", "\u0663"):
+        assert main(["parse", "top", f"For[cp0, {digit}, q(a)]"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line 1, column 10: unexpected character {digit!r}\n"
+        model = tmp_path / "digits.tmodel"
+        model.write_text(f"timeline {digit}\nspeech 1\n", encoding="utf-8")
+        assert main(["eval", str(model), "top", "q(a)"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 1: timeline needs a positive size\n"
+
+
 def test_check_reports_and_exit_codes(capsys):
     assert main(["check", "--seed", "42", "--cases", "40"]) == 0
     first = capsys.readouterr().out
@@ -109,3 +121,16 @@ def test_check_size_flags(capsys):
         "--timeline-size", "5", "--atom-count", "2", "--max-depth", "3",
     ]) == 0
     assert capsys.readouterr().out.strip() == "cases=20 disagreements=0"
+
+
+
+def test_check_mutation_report_is_golden(capsys):
+    """The whole report, byte for byte: every disagreement with its shrunk
+    formula and model digests."""
+    code = main([
+        "check", "--mutate", "drop-past-narrowing", "--seed", "42",
+        "--cases", "1000",
+    ])
+    assert code == 3
+    golden = (DATA / "check-mutate-drop-past-narrowing-42.txt").read_text()
+    assert capsys.readouterr().out == golden

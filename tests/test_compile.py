@@ -1,0 +1,190 @@
+"""Compiled evaluation against the tree-walking reference semantics.
+
+Formulas are compiled once into closures, with the parts that read no
+variable folded to their values.  Here every compiled closure must give
+what the reference evaluators in reference.py give, or raise an exception
+of the same type, on generated formulas and assignments.
+"""
+import random
+
+import reference
+from chronos import bot, top
+from chronos.core import (
+    COMPLETE,
+    EMPTY,
+    GAPPY,
+    BotModel,
+    ObjectDomain,
+    Partitioning,
+    Period,
+    Timeline,
+    derive_bot_model,
+)
+from chronos.equiv import GenParams, gen_bot_formula, gen_case
+from chronos.translate import translate
+
+
+def _outcome(run):
+    """What a call returns, or the type of what it raises; the two
+    evaluators' 'unknown' sentinels read alike."""
+    try:
+        value = run()
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        return type(e)
+    if value is top._UNKNOWN or value is reference.UNKNOWN:
+        return "unknown"
+    return value
+
+
+def _speech_times(m):
+    """The first point, an interior one and the last one."""
+    return sorted({0, m.timeline.size // 2, m.timeline.t_last})
+
+
+def _check_conjuncts(m, f, objects, rng, tries=3):
+    """Every conjunct of f, and every point and period expression in it,
+    under random full assignments at three speech times."""
+    names = bot.free_vars_ordered(f)
+    for st in _speech_times(m):
+        for _ in range(tries):
+            g = {name: rng.choice(objects) for name in names}
+            for atom in bot.flatten(f):
+                got = _outcome(lambda: bot.eval_bot(m, st, g, atom))
+                want = _outcome(lambda: reference.eval_bot(m, st, g, atom))
+                assert got == want, (bot.print_bot(atom), st, g)
+                for e in bot._atom_subterms(atom):
+                    if type(e) in reference.POINT_TYPES:
+                        pair = (bot.eval_point, reference.eval_point)
+                    elif type(e) in reference.PERIOD_TYPES:
+                        pair = (bot.eval_period, reference.eval_period)
+                    else:
+                        continue
+                    got = _outcome(lambda: pair[0](m, st, g, e))
+                    want = _outcome(lambda: pair[1](m, st, g, e))
+                    assert got == want, (bot.print_bot(atom), e, st, g)
+
+
+def _bot_vocabulary_model():
+    """A model for gen_bot_formula's names: some functors, constants and
+    partitionings exist, the others are unknown and must raise."""
+    rng = random.Random("bot-vocabulary")
+    timeline = Timeline(6)
+    domain = ObjectDomain(timeline, ("a0", "a1"))
+    objects = list(domain.objects())
+    preds = {
+        (functor, arity): frozenset(
+            tuple(rng.choice(objects) for _ in range(arity)) for _ in range(12)
+        )
+        for functor, arity in (("q0", 1), ("q0", 2), ("q1", 2), ("q1", 3), ("q2", 1))
+    }
+    return BotModel(
+        timeline=timeline,
+        domain=domain,
+        consts={"c0": "a1", "c1": Period(1, 3)},  # c2 is unknown
+        bot_preds=preds,
+        cparts={"p0": Partitioning(COMPLETE, (Period(0, 1), Period(2, 5)))},
+        gparts={"gp": Partitioning(GAPPY, (Period(3, 3),))},  # p1 is unknown
+    ), objects
+
+
+def test_bot_conjuncts_of_generated_formulas_match_reference():
+    m, objects = _bot_vocabulary_model()
+    for i in range(300):
+        rng = random.Random(f"compile-bot/{i}")
+        _check_conjuncts(m, gen_bot_formula(rng), objects, rng)
+
+
+def test_bot_conjuncts_of_translations_match_reference():
+    """Translated cases, each also against the next case's model, where
+    some of its names are unknown."""
+    params = GenParams(seed=7)
+    cases = [gen_case(params, i) for i in range(121)]
+    for i, (m, _, f) in enumerate(cases[:-1]):
+        rng = random.Random(f"compile-trans/{i}")
+        translated = translate(f)
+        for model in (m, cases[i + 1][0]):
+            derived = derive_bot_model(model)
+            _check_conjuncts(derived, translated, list(derived.objects()), rng)
+
+
+def test_folded_constants_at_the_timeline_edges():
+    """[beg, now) is empty at speech time 0 and succ(end) is undefined."""
+    m, _ = _bot_vocabulary_model()
+    for text in (
+        "subper([beg, now), [beg, end])",
+        "eq([beg, now), intersect([beg, now), [beg, end]))",
+        "prec(earliest([beg, now)), end)",
+        "prec(succ(end), end)",
+        "eq(succ(end), succ(end))",
+        "q0(succ(end))",
+        "q0(succ(end), c2)",
+        "prec(beg, succ(now))",
+    ):
+        f = bot.parse_bot(text)
+        for st in (0, 3, 5):
+            assert _outcome(lambda: bot.eval_bot(m, st, {}, f)) == _outcome(
+                lambda: reference.eval_bot(m, st, {}, f)), (text, st)
+
+
+def _top_outcomes(m, st, f, g, strict, periods, windows):
+    compiled = top._Compiler(m, st, strict).formula(f)
+    for et in periods:
+        for lt in windows:
+            got = _outcome(lambda: compiled(et, lt, g))
+            want = _outcome(
+                lambda: reference.eval_top(m, st, et, lt, g, f, strict))
+            assert got == want, (top.print_top(f), st, et, lt, g, strict)
+
+
+def test_top_matches_reference_at_every_index():
+    """Generated cases at every (et, lt), strict and not, under full and
+    partial assignments, also against another case's model."""
+    params = GenParams(timeline_size=6, seed=3)
+    cases = [gen_case(params, i) for i in range(81)]
+    for i, (m, _, f) in enumerate(cases[:-1]):
+        rng = random.Random(f"compile-top/{i}")
+        names = top.free_vars_ordered(f)
+        for model in (m, cases[i + 1][0]):
+            objects = list(model.objects())
+            periods = model.timeline.periods()
+            windows = periods + [EMPTY]
+            for st in _speech_times(model):
+                full = {name: rng.choice(objects) for name in names}
+                partial = {n: v for n, v in full.items() if rng.random() < 0.5}
+                for g in (full, partial):
+                    for strict in (True, False):
+                        _top_outcomes(model, st, f, g, strict, periods, windows)
+
+
+def test_top_folded_windows_match_reference(m0):
+    """Constant windows and spans: Past at the first point, At, Before and
+    After on period and atom constants, Ntense[now, ...] and For."""
+    m = m0.model
+    periods = m.timeline.periods()
+    windows = periods + [EMPTY]
+    for text in (
+        "Past[?e, empty(tank5)]",
+        "At[d_jan, empty(tank5)]",
+        "Before[d_jan, empty(tank5)]",
+        "After[d_jan, empty(tank5)]",
+        "After[y1995, Past[?e, empty(tank5)]]",
+        "At[tank5, empty(tank5)]",
+        "At[nosuch, empty(tank5)]",
+        "Ntense[now, empty(tank5)]",
+        "For[minute, 2, empty(tank5)]",
+        "For[minute, 20, empty(tank5)]",
+        "Culm[building(housecorp, bridge2)]",
+        "Culm[building(?x, ?y)] & Perf[?e, Fills[empty(?t)]]",
+        "empty(?x) & empty(nosuch)",
+        "empty(nosuch) & Part[nosuch, ?p]",
+    ):
+        f = top.parse_top(text)
+        names = top.free_vars_ordered(f)
+        assignments = [{}]
+        if names:
+            assignments += [dict.fromkeys(names, Period(3, 4)),
+                            dict.fromkeys(names, "tank5")]
+        for st in (0, 5, m.timeline.t_last):
+            for g in assignments:
+                for strict in (True, False):
+                    _top_outcomes(m, st, f, g, strict, periods, windows)

@@ -89,6 +89,25 @@ def test_validation_failures_are_reported():
     assert any(v.code == "GappyCoversAll" for v in err.value.violations)
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("timeline {d}\nspeech 1\n", "timeline needs a positive size"),
+        ("timeline 5\nspeech {d}\n", "speech needs a time-point"),
+        ("timeline 5\nspeech 1\nperiodconst p = [{d},4]\n", "expected period list"),
+        ("timeline 5\nspeech 1\npred q/{d}\n", "pred name/arity"),
+        ("timeline 5\nspeech 1\ncpart c = blocks {d}\n", "expected period list"),
+    ],
+)
+def test_numbers_take_ascii_digits_only(text, fragment, digit):
+    """int() reads '٣' as 3 and fails on '²'; both are input errors."""
+    with pytest.raises(ModelFileError) as err:
+        parse_model(text.format(d=digit))
+    assert fragment in str(err.value)
+    assert err.value.line == text.count("\n", 0, text.index("{d}")) + 1
+
+
 def test_error_carries_line_number():
     with pytest.raises(ModelFileError) as err:
         parse_model("timeline 5\nspeech 1\nbogus directive\n")

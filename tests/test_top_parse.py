@@ -56,6 +56,16 @@ def test_parse_for_quantity():
         parse_top("For[minute, 0, empty(tank5)]")
 
 
+def test_quantity_takes_ascii_digits_only():
+    """Other scripts' digits are not integers: int() would read '٣' as 3
+    and fail on '²'."""
+    for digit in ("\u00b2", "\u0663"):
+        with pytest.raises(ParseError) as err:
+            parse_top(f"For[cp0, {digit}, q(a)]")
+        assert (err.value.line, err.value.column) == (1, 10)
+        assert "unexpected character" in err.value.message
+
+
 def test_print_examples():
     assert print_top(top.Literal("empty", (Const("tank5"),))) == "empty(tank5)"
     assert (
