@@ -13,7 +13,7 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Union
 
 
@@ -162,11 +162,13 @@ class Timeline:
 
     def periods(self) -> list:
         """All periods over the timeline, ordered by (lo, hi)."""
-        return [
-            Period(lo, hi)
-            for lo in range(self.size)
-            for hi in range(lo, self.size)
-        ]
+        return list(_periods(self.size))
+
+
+@lru_cache(maxsize=32)
+def _periods(size: int) -> tuple:
+    """Built once per timeline size and shared, as a Period is immutable."""
+    return tuple(Period(lo, hi) for lo in range(size) for hi in range(lo, size))
 
 
 COMPLETE = "complete"
@@ -214,10 +216,14 @@ class DomainIndex:
     __slots__ = ("objects", "periods", "_atoms", "_size")
 
     def __init__(self, atoms: tuple, timeline: Timeline):
-        self.objects = list(atoms) + timeline.periods()
+        self.objects = [*atoms, *_periods(timeline.size)]
         self.periods = range(len(atoms), len(self.objects))
         self._atoms = {a: i for i, a in enumerate(atoms)}
         self._size = timeline.size
+
+    def _period(self, lo: int, hi: int) -> int:
+        # the periods come by (lo, hi): those starting before lo, then lo's
+        return len(self._atoms) + lo * self._size - lo * (lo - 1) // 2 + hi - lo
 
     def position(self, o):
         """o's position in objects, or None when o is not in the domain."""
@@ -225,9 +231,14 @@ class DomainIndex:
             return self._atoms.get(o)
         if o.hi >= self._size:
             return None
-        # the periods come by (lo, hi): those starting before o.lo, then o's
-        lo = o.lo
-        return len(self._atoms) + lo * self._size - lo * (lo - 1) // 2 + o.hi - lo
+        return self._period(o.lo, o.hi)
+
+    def period_positions(self, lo: int, lo_last: int, hi: int, hi_last: int):
+        """Positions, in order, of the periods [a, b] of the timeline with
+        lo <= a <= lo_last and hi <= b <= hi_last; no Period is built."""
+        hi_last = min(hi_last, self._size - 1)
+        return [i for a in range(lo, lo_last + 1) for i in range(
+            self._period(a, max(a, hi)), self._period(a, hi_last) + 1)]
 
 
 @dataclass(frozen=True)
@@ -358,7 +369,8 @@ class CandidatePlan:
         self._static = [None] * len(order)  # allowed domain positions, or None
         self._dynamic = [[] for _ in order]  # callables g -> set of values
 
-    def _restrict(self, name, positions) -> None:
+    def restrict(self, name, positions) -> None:
+        """Restrict a variable to the given domain positions."""
         i = self._level[name]
         old = self._static[i]
         if old is None:
@@ -368,10 +380,10 @@ class CandidatePlan:
 
     def only(self, name, values) -> None:
         """Restrict a variable to values, whatever the others are bound to."""
-        self._restrict(name, set(map(self.index.position, values)) - {None})
+        self.restrict(name, set(map(self.index.position, values)) - {None})
 
     def periods_only(self, name) -> None:
-        self._restrict(name, self.index.periods)
+        self.restrict(name, self.index.periods)
 
     def equal_to(self, name, needs, value) -> None:
         """Restrict a variable to {value(g)} once all names in needs are bound."""
@@ -440,8 +452,11 @@ class CandidatePlan:
         checks[k] holds tests g -> bool that read at most the first k names;
         they run, in list order, as soon as those names are bound, and the
         first that fails cuts the branch.  This is the one depth-first
-        search behind both witness searches.
+        search behind both witness searches.  A name with no static
+        candidate stops it before it starts, with no check run.
         """
+        if any(static is not None and not static for static in self._static):
+            return None
         order = self.order
         last = len(order)
         g = {}

@@ -409,6 +409,10 @@ class _Compiler:
     functor, constant or partitioning the model lacks compiles to a
     closure that raises where evaluation reaches it, and clears
     `resolved`, which turns every candidate filter off.
+
+    `et` is the event time of the clause being compiled: _EVENT_TIME at
+    the root, ?v inside Perf[?v, ...] and Ntense[?v, ...], the constant
+    [st, st] inside Ntense[now, ...]; clause filters narrow it.
     """
 
     def __init__(self, m: TopModel, st: int, strict: bool):
@@ -417,6 +421,7 @@ class _Compiler:
         self.unbound = _unbound_error if strict else _unbound_unknown
         self.filters = []  # callables plan -> None
         self.resolved = True
+        self.et = _EVENT_TIME
 
     def formula(self, f):
         compile = _FORMULAS.get(type(f))
@@ -430,6 +435,20 @@ class _Compiler:
 
     def _periods_only(self, name):
         self.filters.append(lambda plan: plan.periods_only(name))
+
+    def _event_times(self, positions):
+        """Narrow a searched event time to the domain positions(index)."""
+        et = self.et
+        if type(et) is not Period:
+            self.filters.append(
+                lambda plan: plan.restrict(et, positions(plan.index)))
+
+    def _at_event_time(self, et, f):
+        """Compile f, whose clauses read et as their event time."""
+        outer, self.et = self.et, et
+        body = self.formula(f)
+        self.et = outer
+        return body
 
     def _literal(self, f):
         return self._situation(f, culm=False)
@@ -466,11 +485,30 @@ class _Compiler:
 
                 return unresolved
         pattern = tuple(pattern)
+        known = [(k, a) for k, a in enumerate(pattern) if type(a) is not Var]
+
+        def entries():
+            return [(args, ps) for args, ps in ext.items()
+                    if ps and (not culm or m.culm_flag(functor, n, args))]
+
         self.filters.append(lambda plan: plan.semijoin(
-            [args for args, ps in ext.items()
-             if ps and (not culm or m.culm_flag(functor, n, args))],
-            pattern,
-        ))
+            [args for args, _ in entries()], pattern))
+
+        def event_times(index):
+            # et lies within a maximal period, or under Culm is the hull,
+            # of an entry that agrees with the constants
+            out = []
+            for args, ps in entries():
+                if all(args[k] == a for k, a in known):
+                    if culm:
+                        lo, hi = min(p.lo for p in ps), max(p.hi for p in ps)
+                        out += index.period_positions(lo, lo, hi, hi)
+                    else:
+                        for p in ps:
+                            out += index.period_positions(p.lo, p.hi, p.lo, p.hi)
+            return out
+
+        self._event_times(event_times)
 
         def holds(et, args):
             ps = ext.get(args)
@@ -536,12 +574,20 @@ class _Compiler:
     def _pres(self, f):
         # st must fall within the event time; lt is not consulted
         st, body = self.st, self.formula(f.body)
+        last = self.m.timeline.t_last
+        self._event_times(lambda index: index.period_positions(0, st, st, last))
         return lambda et, lt, g: et.lo <= st <= et.hi and body(et, lt, g)
 
     def _past(self, f):
         # narrow lt to the part strictly before the speech time
-        name, unbound, st = f.var.name, self.unbound, self.st
+        name, unbound, st, now = f.var.name, self.unbound, self.st, self.et
         self._periods_only(name)
+        if type(now) is Period:
+            self.filters.append(lambda plan: plan.only(name, [now]))
+        else:  # ?v equals the event time, whichever of the two is bound first
+            self.filters.append(lambda plan: (
+                plan.equal_to(name, [now], lambda g: g[now]),
+                plan.equal_to(now, [name], lambda g: g[name])))
         body = self.formula(f.body)
         window = Period(0, st - 1) if st > 0 else EMPTY
 
@@ -600,12 +646,12 @@ class _Compiler:
     def _ntense(self, f):
         full = self.m.timeline.full()
         if f.var is None:
-            body = self.formula(f.body)
             now = Period(self.st, self.st)
+            body = self._at_event_time(now, f.body)
             return lambda et, lt, g: body(now, full, g)
         name, unbound = f.var.name, self.unbound
         self._periods_only(name)
-        body = self.formula(f.body)
+        body = self._at_event_time(name, f.body)
 
         def ntense(et, lt, g):
             v = g.get(name, _UNKNOWN)
@@ -635,13 +681,16 @@ class _Compiler:
                     break
             else:
                 spans[lo] = p.hi
+        self._event_times(lambda index: [
+            i for lo, hi in spans.items()
+            for i in index.period_positions(lo, lo, hi, hi)])
         return lambda et, lt, g: spans.get(et.lo) == et.hi and body(et, lt, g)
 
     def _perf(self, f):
         # the body holds at an earlier event time named by the variable
         name, unbound, full = f.var.name, self.unbound, self.m.timeline.full()
         self._periods_only(name)
-        body = self.formula(f.body)
+        body = self._at_event_time(name, f.body)
 
         def perf(et, lt, g):
             if not subper(et, lt):
@@ -688,7 +737,9 @@ def denot_top_witness(m: TopModel, st: int, f):
     so branches are skipped only when a partial assignment already forces
     the formula false, or when a value fails a candidate filter that every
     satisfying assignment passes; the witness is exactly the one plain
-    nested enumeration would find first.
+    nested enumeration would find first.  The filters narrow event times
+    too (literals, Culm, Pres and For), and tie a Past variable to its
+    event time; a level with no candidate ends the search at once.
     """
     compiler = _Compiler(m, st, strict=False)
     c = compiler.formula(f)

@@ -17,7 +17,7 @@ from chronos.equiv import (
     run_campaign,
 )
 from chronos.modelfile import parse_model
-from chronos.top import EvalIndex, denot_top, eval_top_at, parse_top, print_top
+from chronos.top import denot_top, parse_top, print_top
 from chronos.translate import alpha_equivalent, translate
 
 
@@ -85,13 +85,15 @@ def _homogeneity_violations(m, st):
             (top.Literal(functor, var_args), [{"v": o} for o in m.objects()])
         )
         for lit, assignments in literals:
+            # compiled once, as eval_top_at compiles it, then called
+            c = top._Compiler(m, st, strict=True).formula(lit)
             for g in assignments:
                 for et, lt in itertools.product(periods, periods):
-                    if not eval_top_at(m, EvalIndex(st, et, lt), g, lit):
+                    if not c(et, lt, g):
                         continue
                     for sub in periods:
                         if sub.lo >= et.lo and sub.hi <= et.hi:
-                            if not eval_top_at(m, EvalIndex(st, sub, lt), g, lit):
+                            if not c(sub, lt, g):
                                 violations += 1
     return violations
 

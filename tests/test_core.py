@@ -9,6 +9,7 @@ from chronos.core import (
     EMPTY,
     GAPPY,
     UNDEFINED,
+    CandidatePlan,
     EtaMapping,
     FunctorCollision,
     ObjectDomain,
@@ -117,6 +118,42 @@ def test_object_enumeration_order():
     objs = list(dom.objects())
     assert objs[:2] == ["b", "a"]
     assert objs[2:] == Timeline(3).periods()
+
+
+def test_domains_of_one_size_share_their_periods():
+    a = ObjectDomain(Timeline(4), ("x",)).index.objects
+    b = ObjectDomain(Timeline(4), ("y", "z")).index.objects
+    assert a[1:] == b[2:] == Timeline(4).periods()
+    assert all(p is q for p, q in zip(a[1:], b[2:]))
+
+
+def test_period_positions_match_enumeration():
+    index = ObjectDomain(Timeline(5), ("x", "y")).index
+    periods = Timeline(5).periods()
+    for lo, lo_last, hi, hi_last in itertools.product(range(6), repeat=4):
+        expected = [
+            index.position(p) for p in periods
+            if lo <= p.lo <= lo_last and hi <= p.hi <= hi_last
+        ]
+        assert index.period_positions(lo, lo_last, hi, hi_last) == expected
+
+
+def test_search_stops_at_an_empty_level():
+    """A name with no static candidate ends the search before any check."""
+    plan = CandidatePlan(ObjectDomain(Timeline(3), ("a", "b")).index, ["x", "y"])
+    plan.only("y", [])
+    calls = []
+
+    def check(g):
+        calls.append(dict(g))
+        return True
+
+    assert plan.search([[check], [check], [check]]) is None
+    assert calls == []
+    # without the empty level the same checks run and find a witness
+    open_plan = CandidatePlan(plan.index, ["x", "y"])
+    assert open_plan.search([[check], [check], [check]]) == {"x": "a", "y": "a"}
+    assert calls
 
 
 def test_partitioning_rejects_overlap():

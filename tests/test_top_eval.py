@@ -234,15 +234,17 @@ def test_absent_bindings_do_not_matter(m0):
 
 def _naive_top_witness(m, st, f):
     """Plain nested enumeration: event times by (lo, hi), then the variables
-    in first-occurrence order, each over the whole object domain."""
+    in first-occurrence order, each over the whole object domain.  The
+    formula is compiled once, as eval_top_at compiles it, and the closure
+    is called at every index and assignment."""
+    c = top._Compiler(m, st, strict=True).formula(f)
     names = top.free_vars_ordered(f)
     domain = list(m.objects())
     full = m.timeline.full()
     for et in m.timeline.periods():
-        idx = EvalIndex(st, et, full)
         for combo in itertools.product(domain, repeat=len(names)):
             g = dict(zip(names, combo))
-            if eval_top_at(m, idx, g, f):
+            if c(et, full, g):
                 return g, et
     return None
 
@@ -261,6 +263,15 @@ def test_denot_matches_naive_enumeration(m0):
         "Perf[?f, building(housecorp, ?b)]",
         "Past[?e, inspecting(?e, ba737)]",  # false: ?e is a period and an atom
         "Before[?b, building(?b, bridge2)]",  # false for the same reason
+        # each hands the event time on, or filters it, at a nested level
+        "Perf[?f, Past[?e, empty(tank5)]]",
+        "Ntense[now, Past[?e, empty(tank5)]]",
+        "Ntense[?n, Perf[?f, empty(tank5)]]",
+        "For[minute, 2, empty(tank5)]",
+        "Pres[Culm[building(housecorp, ?b)]]",
+        "Past[?e, Pres[empty(tank5)]]",
+        "Ntense[now, Past[?e, Ntense[now, empty(tank5)]]]",  # true at st 2
+        "Part[fivepm, ?e] & Ntense[?n, Past[?e, empty(tank5)]]",  # ?e first
     ]
     for text in formulas:
         f = parse_top(text)
@@ -270,20 +281,25 @@ def test_denot_matches_naive_enumeration(m0):
 
 
 def _naive_bot_witness(m, st, f):
+    """Plain nested enumeration, each conjunct compiled once, as eval_bot
+    compiles it, and called for every assignment."""
+    compiler = bot._Compiler(m, st)
+    tests = [compiler.conjunct(atom)[0] for atom in bot.flatten(f)]
     names = bot.free_vars_ordered(f)
     for combo in itertools.product(list(m.objects()), repeat=len(names)):
         g = dict(zip(names, combo))
-        if bot.eval_bot(m, st, g, f):
+        if all(bot._evaluate(test, g) for test in tests):
             return g
     return None
 
 
-def test_searches_match_naive_enumeration_on_generated_cases():
+def _check_generated_cases(timeline_size):
     """Both searches find the witness plain enumeration finds first, on the
     generated cases whose enumeration fits an evaluation budget, with and
-    without a translator mutation."""
+    without a translator mutation; returns how many cases were checked."""
     budget = 20_000
-    params = GenParams(timeline_size=4, atom_count=2, max_free_vars=2, seed=1)
+    params = GenParams(
+        timeline_size=timeline_size, atom_count=2, max_free_vars=2, seed=1)
     checked = {"top": 0, "bot": 0}
     for i in range(200):
         m, st, f = gen_case(params, i)
@@ -299,6 +315,17 @@ def test_searches_match_naive_enumeration_on_generated_cases():
                     derived, st, translated
                 ) == _naive_bot_witness(derived, st, translated), (i, mutation)
                 checked["bot"] += 1
+    return checked
+
+
+def test_searches_match_naive_enumeration_on_generated_cases():
+    checked = _check_generated_cases(timeline_size=4)
+    assert checked["top"] >= 150 and checked["bot"] >= 300, checked
+
+
+def test_searches_match_naive_enumeration_on_longer_timelines():
+    """The same at 6 points, where the event-time filters leave more out."""
+    checked = _check_generated_cases(timeline_size=6)
     assert checked["top"] >= 150 and checked["bot"] >= 300, checked
 
 
