@@ -568,6 +568,8 @@ def run_campaign(
     eta: EtaMapping | None = None,
 ) -> CampaignReport:
     """Check `cases` independent seeded cases; disagreements come back shrunk."""
+    if cases < 0:
+        raise ValueError(f"cases must be at least 0, got {cases}")
     found = []
     for i in range(cases):
         m, st, f = gen_case(params, i)

@@ -1,13 +1,21 @@
 """Tokenizer and token-stream cursor shared by the TOP and BOT parsers.
 
-Both concrete syntaxes use the same lexical inventory: identifiers,
-``?``-prefixed variables, unsigned integers in ASCII digits, the
-punctuation ``[ ] ( ) , &``, insignificant whitespace, and ``#`` line
-comments.
+Both syntaxes share these lexical rules. An identifier starts with a
+letter (``str.isalpha``, non-ASCII letters included) or ``_`` and goes on
+with letters, digits (``str.isalnum``) or ``_``. A variable is ``?`` and an
+identifier; its token text is the name alone. An integer is a run of ASCII
+digits ``0-9``. The punctuation is ``[ ] ( ) , &``. Blanks are space, tab
+and carriage return, and a comment runs from ``#`` to the end of the line.
+
+Lines and columns are 1-based, a tab being one column, and an error is
+reported at the start of its token. End of input sits after the last
+character, trailing blanks included, but a trailing comment does not move
+it: end of input is then reported at the ``#``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -30,80 +38,62 @@ VAR = "var"
 INT = "int"
 EOF = "eof"
 
-_PUNCT = "[](),&"
-_DIGITS = "0123456789"  # str.isdigit also accepts other scripts' digits
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, VAR, INT, EOF, or the punctuation character itself
     text: str
     line: int
     column: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+# Blanks, then one token. Group numbers are the dispatch keys below; \w is
+# exactly str.isalnum() or "_", so only a word's first character needs a
+# further check. The EOF group starts at a trailing comment's "#".
+_SCAN = re.compile(
+    r"[ \t\r]*(?:"
+    r"([\[\](),&])"  # 1 punctuation
+    r"|(\?\w*)"  # 2 variable
+    r"|([0-9]+)"  # 3 integer
+    r"|(\w+)"  # 4 identifier
+    r"|(\n)"  # 5 newline
+    r"|((?:#[^\n]*)?)\Z"  # 6 end of input
+    r"|#[^\n]*"  # comment
+    r"|(.))"  # 7 any other character
+)
 
 
 def tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    append = tokens.append
+    new = tuple.__new__
+    line, base = 1, -1  # base: index of the newline before this line
+    for m in _SCAN.finditer(text):
+        group = m.lastindex
+        if group is None:  # a comment
+            continue
+        word = m.group(group)
+        col = m.start(group) - base
+        if group == 4:
+            head = word[0]
+            if not (head.isalpha() or head == "_"):
+                raise ParseError(f"unexpected character {head!r}", line, col)
+            append(new(Token, (IDENT, word, line, col)))
+        elif group == 1:
+            append(new(Token, (word, word, line, col)))
+        elif group == 2:
+            if len(word) == 1 or not (word[1].isalpha() or word[1] == "_"):
+                raise ParseError("expected identifier after '?'", line, col)
+            append(new(Token, (VAR, word[1:], line, col)))
+        elif group == 3:
+            append(new(Token, (INT, word, line, col)))
+        elif group == 5:
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "?":
-            j = i + 1
-            if j >= n or not _is_ident_start(text[j]):
-                raise ParseError("expected identifier after '?'", line, start_col)
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            name = text[i + 1 : j]
-            tokens.append(Token(VAR, name, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token(INT, text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token(EOF, "", line, col))
+            base = m.end() - 1
+        elif group == 6:
+            append(new(Token, (EOF, "", line, col)))
+            break
+        else:
+            raise ParseError(f"unexpected character {word!r}", line, col)
     return tokens
 
 

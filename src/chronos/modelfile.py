@@ -63,6 +63,12 @@ class CompiledModel:
 _IDENT = r"[A-Za-z_]\w*"
 _NUMBER = r"[0-9]+"  # \d and str.isdigit also match other scripts' digits
 _PERIOD_RE = re.compile(rf"\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]")
+_NUMBER_RE = re.compile(_NUMBER)
+_IDENT_RE = re.compile(_IDENT)
+_NAMED_RE = re.compile(rf"({_IDENT})\s*=\s*(.+)")  # periodconst, cpart, gpart
+_PRED_RE = re.compile(rf"({_IDENT})\s*/\s*({_NUMBER})")
+_TUPLE_RE = re.compile(rf"({_IDENT})\s*\(\s*(.*?)\s*\)\s*=\s*(.+)")
+_BLOCKS_RE = re.compile(rf"blocks\s+({_NUMBER})")
 
 
 def _parse_periods(text: str, lineno: int) -> list:
@@ -105,19 +111,19 @@ class _Compiler:
     def _d_timeline(self, lineno, rest):
         if self.size is not None:
             raise ModelFileError("timeline declared twice", lineno)
-        if not re.fullmatch(_NUMBER, rest) or int(rest) < 1:
+        if not _NUMBER_RE.fullmatch(rest) or int(rest) < 1:
             raise ModelFileError("timeline needs a positive size", lineno)
         self.size = int(rest)
 
     def _d_speech(self, lineno, rest):
         if self.speech is not None:
             raise ModelFileError("speech declared twice", lineno)
-        if not re.fullmatch(_NUMBER, rest):
+        if not _NUMBER_RE.fullmatch(rest):
             raise ModelFileError("speech needs a time-point", lineno)
         self.speech = int(rest)
 
     def _d_object(self, lineno, rest):
-        if not re.fullmatch(_IDENT, rest):
+        if not _IDENT_RE.fullmatch(rest):
             raise ModelFileError(f"bad object name {rest!r}", lineno)
         if rest in self.consts:
             raise ModelFileError(f"name {rest!r} declared twice", lineno)
@@ -125,7 +131,7 @@ class _Compiler:
         self.consts[rest] = rest
 
     def _d_periodconst(self, lineno, rest):
-        m = re.fullmatch(rf"({_IDENT})\s*=\s*(.+)", rest)
+        m = _NAMED_RE.fullmatch(rest)
         if not m:
             raise ModelFileError("expected: periodconst name = [lo,hi]", lineno)
         name, rhs = m.group(1), m.group(2).strip()
@@ -137,7 +143,7 @@ class _Compiler:
         self.consts[name] = periods[0]
 
     def _d_pred(self, lineno, rest):
-        m = re.fullmatch(rf"({_IDENT})\s*/\s*({_NUMBER})", rest)
+        m = _PRED_RE.fullmatch(rest)
         if not m:
             raise ModelFileError("expected: pred name/arity", lineno)
         name, arity = m.group(1), int(m.group(2))
@@ -150,7 +156,7 @@ class _Compiler:
         self.culms[(name, arity)] = {}
 
     def _pred_tuple(self, lineno, text):
-        m = re.fullmatch(rf"({_IDENT})\s*\(\s*(.*?)\s*\)\s*=\s*(.+)", text)
+        m = _TUPLE_RE.fullmatch(text)
         if not m:
             raise ModelFileError("expected: functor(args) = ...", lineno)
         functor, argtext, rhs = m.group(1), m.group(2), m.group(3).strip()
@@ -186,13 +192,13 @@ class _Compiler:
         flags[args] = rhs == "true"
 
     def _partitioning(self, lineno, rest, kind):
-        m = re.fullmatch(rf"({_IDENT})\s*=\s*(.+)", rest)
+        m = _NAMED_RE.fullmatch(rest)
         if not m:
             raise ModelFileError(f"expected: {kind[0]}part name = ...", lineno)
         name, rhs = m.group(1), m.group(2).strip()
         if name in self.cparts or name in self.gparts:
             raise ModelFileError(f"partitioning {name!r} declared twice", lineno)
-        bm = re.fullmatch(rf"blocks\s+({_NUMBER})", rhs)
+        bm = _BLOCKS_RE.fullmatch(rhs)
         if bm:
             if kind != COMPLETE:
                 raise ModelFileError("blocks form is for cpart only", lineno)

@@ -1,10 +1,13 @@
-"""Reference semantics: tree-walking evaluators for both languages.
+"""Reference semantics: tree-walking evaluators for both languages, and a
+character-loop tokenizer.
 
-These walk the formula at every call, one clause per node type, exactly as
-the definitions read.  The package compiles formulas into closures
-instead; tests compare the two.
+The evaluators walk the formula at every call, one clause per node type,
+exactly as the definitions read.  The package compiles formulas into
+closures instead; tests compare the two.  The tokenizer reads one
+character at a time, where the package runs one compiled pattern; tests
+compare those too.
 """
-from chronos import bot, top
+from chronos import bot, lexer, top
 from chronos.core import (
     EMPTY,
     UNDEFINED,
@@ -18,6 +21,76 @@ from chronos.core import (
     intersect,
     subper,
 )
+
+# ---------------------------------------------------------------------------
+# Tokenizer
+
+
+def tokenize(text: str) -> list:
+    """(kind, text, line, column) tuples; raises lexer.ParseError."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch in "[](),&":
+            tokens.append((ch, ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch == "?":
+            j = i + 1
+            if j >= n or not _is_ident_start(text[j]):
+                raise lexer.ParseError(
+                    "expected identifier after '?'", line, start_col)
+            while j < n and _is_ident_char(text[j]):
+                j += 1
+            tokens.append((lexer.VAR, text[i + 1 : j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in "0123456789":
+            j = i
+            while j < n and text[j] in "0123456789":
+                j += 1
+            tokens.append((lexer.INT, text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if _is_ident_start(ch):
+            j = i
+            while j < n and _is_ident_char(text[j]):
+                j += 1
+            tokens.append((lexer.IDENT, text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        raise lexer.ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append((lexer.EOF, "", line, col))
+    return tokens
+
+
+def _is_ident_start(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
+
+
+def _is_ident_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
 
 # ---------------------------------------------------------------------------
 # BOT

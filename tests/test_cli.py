@@ -123,6 +123,14 @@ def test_check_size_flags(capsys):
     assert capsys.readouterr().out.strip() == "cases=20 disagreements=0"
 
 
+def test_check_rejects_a_negative_case_count(capsys):
+    assert main(["check", "--cases", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cases must be at least 0, got -5\n"
+    assert main(["check", "--cases", "0"]) == 0
+    assert capsys.readouterr().out == "cases=0 disagreements=0\n"
+
 
 def test_check_mutation_report_is_golden(capsys):
     """The whole report, byte for byte: every disagreement with its shrunk
