@@ -30,7 +30,6 @@ from .core import (
     intersect,
     raising,
 )
-from .lexer import ArityError, ParseError, TokenStream
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +191,14 @@ def _atom_vars(f, out):
 
 def flatten(f) -> list:
     """Conjunct list of a formula, left to right."""
-    if type(f) is And:
-        return flatten(f.left) + flatten(f.right)
-    return [f]
+    out, todo = [], [f]
+    while todo:
+        f = todo.pop()
+        while type(f) is And:
+            todo.append(f.right)
+            f = f.left
+        out.append(f)
+    return out
 
 
 def free_vars_ordered(f) -> list:
@@ -215,185 +219,118 @@ def functors(f) -> set:
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-_RESERVED = {
-    "subper",
-    "eq",
-    "period",
-    "part",
-    "prec",
-    "beg",
-    "now",
-    "end",
-    "earliest",
-    "latest",
-    "succ",
-    "intersect",
-}
-
 _POINT_KEYWORDS = {"beg": BEG, "now": NOW, "end": END}
+_BOUNDS = {"earliest": Earliest, "latest": Latest}
+_ATOM_KEYWORDS = {"subper", "eq", "period", "part", "prec"}
+_RESERVED = (_POINT_KEYWORDS.keys() | _BOUNDS.keys() | _ATOM_KEYWORDS
+             | {"succ", "intersect"})
 
 
-class _BotParser:
-    def __init__(self, text: str):
-        self.ts = TokenStream(text)
-        self.arities = {}
+class _BotParser(lexer.Parser):
+    And = And
+    Literal = Literal
+    # translating a TOP formula at most doubles its nesting, groups and
+    # intersect chains both growing with the operators around them
+    max_depth = 2 * lexer.MAX_DEPTH + 2
 
-    def parse(self):
-        f = self.formula()
-        self.ts.expect(lexer.EOF, "end of input")
+    def unit(self):
+        kind, name, _, _ = self.tokens[self.pos]
+        if kind != lexer.IDENT:
+            self.error("expected an atomic formula")
+        if name not in _RESERVED:
+            return self.literal()
+        if name not in _ATOM_KEYWORDS:
+            self.error(f"misplaced keyword {name!r}")
+        self.pos += 1
+        self.expect("(")
+        if name == "subper":
+            a = self.period_expr()
+            self.expect(",")
+            f = Subper(a, self.period_expr())
+        elif name == "eq":
+            a = self.term()
+            self.expect(",")
+            f = Eq(a, self.term())
+        elif name == "prec":
+            a = self.point_expr()
+            self.expect(",")
+            f = Prec(a, self.point_expr())
+        elif name == "period":
+            f = IsPeriod(self.term())
+        else:  # part
+            part = self.expect(lexer.IDENT, "partitioning name")[1]
+            self.expect(",")
+            f = InPart(part, self.term())
+        self.expect(")")
         return f
 
-    def formula(self):
-        left = self.atom()
-        if self.ts.at("&"):
-            self.ts.next()
-            return And(left, self.formula())
-        return left
-
-    def atom(self):
-        ts = self.ts
-        tok = ts.peek()
-        if tok.kind == "(":
-            # grouping; unambiguous because atoms always start with a name
-            ts.next()
-            f = self.formula()
-            ts.expect(")")
-            return f
-        if tok.kind != lexer.IDENT:
-            ts.error("expected an atomic formula")
-        name = tok.text
-        if name == "subper":
-            ts.next()
-            ts.expect("(")
-            a = self.period_expr()
-            ts.expect(",")
-            b = self.period_expr()
-            ts.expect(")")
-            return Subper(a, b)
-        if name == "eq":
-            ts.next()
-            ts.expect("(")
-            a = self.term()
-            ts.expect(",")
-            b = self.term()
-            ts.expect(")")
-            return Eq(a, b)
-        if name == "period":
-            ts.next()
-            ts.expect("(")
-            t = self.term()
-            ts.expect(")")
-            return IsPeriod(t)
-        if name == "part":
-            ts.next()
-            ts.expect("(")
-            pname = ts.expect(lexer.IDENT, "partitioning name").text
-            ts.expect(",")
-            t = self.term()
-            ts.expect(")")
-            return InPart(pname, t)
-        if name == "prec":
-            ts.next()
-            ts.expect("(")
-            a = self.point_expr()
-            ts.expect(",")
-            b = self.point_expr()
-            ts.expect(")")
-            return Prec(a, b)
-        if name in _RESERVED:
-            raise ParseError(f"misplaced keyword {name!r}", tok.line, tok.column)
-        return self.literal()
-
-    def literal(self):
-        tok = self.ts.expect(lexer.IDENT, "predicate functor")
-        self.ts.expect("(")
-        args = [self.term()]
-        while self.ts.at(","):
-            self.ts.next()
-            args.append(self.term())
-        self.ts.expect(")")
-        seen = self.arities.setdefault(tok.text, len(args))
-        if seen != len(args):
-            raise ArityError(
-                f"functor {tok.text!r} used with arity {len(args)} after {seen}",
-                tok.line,
-                tok.column,
-            )
-        return Literal(tok.text, tuple(args))
-
     def term(self):
-        ts = self.ts
-        tok = ts.peek()
-        if tok.kind == lexer.VAR:
-            return Var(ts.next().text)
-        if tok.kind in ("[", "("):
-            return self.interval()
-        if tok.kind != lexer.IDENT:
-            ts.error("expected a term")
-        name = tok.text
-        if name in _POINT_KEYWORDS or name in ("earliest", "latest", "succ"):
-            return self.point_expr()
-        if name == "intersect":
-            return self.intersect()
-        if name in _RESERVED:
-            raise ParseError(f"misplaced keyword {name!r}", tok.line, tok.column)
-        return Const(ts.next().text)
+        kind, name, _, _ = self.tokens[self.pos]
+        if kind == lexer.VAR:
+            self.pos += 1
+            return self.vars[name]
+        if kind == lexer.IDENT:
+            if name not in _RESERVED:
+                self.pos += 1
+                return self.consts[name]
+            if name == "intersect":
+                return self.period_expr()
+            if name not in _ATOM_KEYWORDS:
+                return self.point_expr()
+            self.error(f"misplaced keyword {name!r}")
+        if kind == "[" or kind == "(":
+            return self.period_expr()
+        self.error("expected a term")
 
     def point_expr(self):
-        ts = self.ts
-        tok = ts.expect(lexer.IDENT, "point expression")
-        name = tok.text
-        if name in _POINT_KEYWORDS:
-            return _POINT_KEYWORDS[name]
-        if name in ("earliest", "latest"):
-            ts.expect("(")
-            p = self.period_expr()
-            ts.expect(")")
-            return Earliest(p) if name == "earliest" else Latest(p)
-        if name == "succ":
-            ts.expect("(")
-            p = self.point_expr()
-            ts.expect(")")
-            return Succ(p)
-        raise ParseError(f"expected point expression, found {name!r}",
-                         tok.line, tok.column)
+        kind, name, _, _ = self.tokens[self.pos]
+        if kind != lexer.IDENT:
+            self.expect(lexer.IDENT, "point expression")
+        point = _POINT_KEYWORDS.get(name)
+        if point is not None:
+            self.pos += 1
+            return point
+        bound = _BOUNDS.get(name)
+        if bound is None and name != "succ":
+            self.error(f"expected point expression, found {name!r}")
+        self.enter()
+        self.pos += 1
+        self.expect("(")
+        e = Succ(self.point_expr()) if bound is None else bound(self.period_expr())
+        self.expect(")")
+        self.depth -= 1
+        return e
 
     def period_expr(self):
-        ts = self.ts
-        tok = ts.peek()
-        if tok.kind in ("[", "("):
-            return self.interval()
-        if tok.kind == lexer.VAR:
-            return TermRef(Var(ts.next().text))
-        if tok.kind == lexer.IDENT:
-            if tok.text == "intersect":
-                return self.intersect()
-            if tok.text not in _RESERVED:
-                return TermRef(Const(ts.next().text))
-        ts.error("expected a period expression")
-
-    def intersect(self):
-        ts = self.ts
-        ts.next()  # the intersect keyword
-        ts.expect("(")
-        a = self.period_expr()
-        ts.expect(",")
-        b = self.period_expr()
-        ts.expect(")")
-        return Intersect(a, b)
-
-    def interval(self):
-        ts = self.ts
-        open_tok = ts.next()
-        lo_closed = open_tok.kind == "["
-        lo = self.point_expr()
-        ts.expect(",")
-        hi = self.point_expr()
-        close_tok = ts.peek()
-        if close_tok.kind not in ("]", ")"):
-            ts.error("expected ']' or ')' closing an interval")
-        ts.next()
-        return Interval(lo, hi, lo_closed, close_tok.kind == "]")
+        kind, name, _, _ = self.tokens[self.pos]
+        if kind == lexer.VAR:
+            self.pos += 1
+            return TermRef(self.vars[name])
+        if kind == "[" or kind == "(":
+            self.pos += 1
+            lo = self.point_expr()
+            self.expect(",")
+            hi = self.point_expr()
+            close = self.tokens[self.pos][0]
+            if close != "]" and close != ")":
+                self.error("expected ']' or ')' closing an interval")
+            self.pos += 1
+            return Interval(lo, hi, kind == "[", close == "]")
+        if kind == lexer.IDENT:
+            if name not in _RESERVED:
+                self.pos += 1
+                return TermRef(self.consts[name])
+            if name == "intersect":
+                self.enter()
+                self.pos += 1
+                self.expect("(")
+                a = self.period_expr()
+                self.expect(",")
+                f = Intersect(a, self.period_expr())
+                self.expect(")")
+                self.depth -= 1
+                return f
+        self.error("expected a period expression")
 
 
 def parse_bot(text: str):

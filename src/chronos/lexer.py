@@ -1,21 +1,32 @@
-"""Tokenizer and token-stream cursor shared by the TOP and BOT parsers.
+"""Tokenizer and the recursive-descent core shared by the TOP and BOT parsers.
 
 Both syntaxes share these lexical rules. An identifier starts with a
 letter (``str.isalpha``, non-ASCII letters included) or ``_`` and goes on
-with letters, digits (``str.isalnum``) or ``_``. A variable is ``?`` and an
-identifier; its token text is the name alone. An integer is a run of ASCII
-digits ``0-9``. The punctuation is ``[ ] ( ) , &``. Blanks are space, tab
-and carriage return, and a comment runs from ``#`` to the end of the line.
+with letters, digits (``str.isalnum``) or ``_``; model files declare names
+by the same rule (`is_identifier`). A variable is ``?`` and an identifier;
+its token text is the name alone. An integer is a run of ASCII digits
+``0-9``. The punctuation is ``[ ] ( ) , &``. Blanks are space, tab and
+carriage return, and a comment runs from ``#`` to the end of the line.
 
 Lines and columns are 1-based, a tab being one column, and an error is
 reported at the start of its token. End of input sits after the last
 character, trailing blanks included, but a trailing comment does not move
 it: end of input is then reported at the ``#``.
+
+`Parser` holds what both grammars share: the cursor, errors, ``&`` chains
+of any length, groups, literals with one arity per functor, and a cap on
+nesting depth that keeps the descent inside Python's recursion limit.
 """
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import NamedTuple
+
+from .core import Const, Var
+
+#: how deep TOP formulas may nest; BOT allows more (see bot._BotParser)
+MAX_DEPTH = 200
 
 
 class ParseError(Exception):
@@ -46,15 +57,17 @@ class Token(NamedTuple):
     column: int
 
 
-# Blanks, then one token. Group numbers are the dispatch keys below; \w is
-# exactly str.isalnum() or "_", so only a word's first character needs a
-# further check. The EOF group starts at a trailing comment's "#".
+# Blanks, then one token. Group numbers are the dispatch keys below, the
+# most frequent first. \w is exactly str.isalnum() or "_", so only a word's
+# first character needs a further check; a word that starts with an ASCII
+# digit is an integer and the rest of the word a new token. The EOF group
+# starts at a trailing comment's "#".
 _SCAN = re.compile(
     r"[ \t\r]*(?:"
     r"([\[\](),&])"  # 1 punctuation
-    r"|(\?\w*)"  # 2 variable
-    r"|([0-9]+)"  # 3 integer
-    r"|(\w+)"  # 4 identifier
+    r"|([^\W0-9]\w*)"  # 2 identifier
+    r"|(\?\w*)"  # 3 variable
+    r"|([0-9]+)"  # 4 integer
     r"|(\n)"  # 5 newline
     r"|((?:#[^\n]*)?)\Z"  # 6 end of input
     r"|#[^\n]*"  # comment
@@ -63,67 +76,154 @@ _SCAN = re.compile(
 
 
 def tokenize(text: str) -> list:
+    """The tokens of text as Tokens; raises ParseError."""
+    return list(map(tuple.__new__, repeat(Token), _scan(text)))
+
+
+def _scan(text: str) -> list:
+    """The tokens of text as plain (kind, text, line, column) tuples, which
+    are several times cheaper to build than Tokens; the parsers read these."""
     tokens = []
     append = tokens.append
-    new = tuple.__new__
     line, base = 1, -1  # base: index of the newline before this line
     for m in _SCAN.finditer(text):
         group = m.lastindex
         if group is None:  # a comment
             continue
-        word = m.group(group)
+        word = m[group]
         col = m.start(group) - base
-        if group == 4:
-            head = word[0]
-            if not (head.isalpha() or head == "_"):
-                raise ParseError(f"unexpected character {head!r}", line, col)
-            append(new(Token, (IDENT, word, line, col)))
-        elif group == 1:
-            append(new(Token, (word, word, line, col)))
+        if group == 1:
+            append((word, word, line, col))
         elif group == 2:
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            append((IDENT, word, line, col))
+        elif group == 3:
             if len(word) == 1 or not (word[1].isalpha() or word[1] == "_"):
                 raise ParseError("expected identifier after '?'", line, col)
-            append(new(Token, (VAR, word[1:], line, col)))
-        elif group == 3:
-            append(new(Token, (INT, word, line, col)))
+            append((VAR, word[1:], line, col))
+        elif group == 4:
+            append((INT, word, line, col))
         elif group == 5:
             line += 1
             base = m.end() - 1
         elif group == 6:
-            append(new(Token, (EOF, "", line, col)))
+            append((EOF, "", line, col))
             break
         else:
             raise ParseError(f"unexpected character {word!r}", line, col)
     return tokens
 
 
-class TokenStream:
+def is_identifier(name: str) -> bool:
+    """True iff name is one identifier token: the rule model files follow
+    for the names they declare."""
+    head = name[:1]  # the rest is \w, that is str.isalnum() or "_"
+    return (head.isalpha() or head == "_") and name.replace("_", "a").isalnum()
+
+
+class Parser:
+    """Recursive descent over the tokens of one text, with an integer cursor.
+
+    A language adds `unit`, an operand of ``&`` other than a group, and
+    `term`, an argument of a literal. They read the (kind, text, line,
+    column) tuples of `_scan` and test their kinds inline. A nested
+    construct calls `enter` at its opening token and lowers `depth` when it
+    closes. Within one parse, each variable or constant name is one `Var`
+    or `Const` object.
+    """
+
+    And = Literal = None  # the language's conjunction and literal classes
+    reserved = frozenset()  # names that cannot be a functor
+    max_depth = MAX_DEPTH
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.tokens = _scan(text)
         self.pos = 0
+        self.depth = 0
+        self.arities = {}
+        self.vars = _Leaves(Var)
+        self.consts = _Leaves(Const)
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def parse(self):
+        f = self.formula()
+        self.expect(EOF, "end of input")
+        return f
 
-    def next(self) -> Token:
+    def error(self, message: str, tok=None):
+        """Raise a ParseError at tok, by default the current token."""
+        _, _, line, column = tok or self.tokens[self.pos]
+        raise ParseError(message, line, column)
+
+    def expect(self, kind: str, what: str | None = None) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != EOF:
-            self.pos += 1
+        if tok[0] != kind:
+            found = tok[1] if tok[0] != EOF else "end of input"
+            self.error(f"expected {what or kind}, found {found!r}")
+        self.pos += 1
         return tok
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+    def enter(self):
+        """One level deeper, at the opening token of a nested construct."""
+        self.depth += 1
+        if self.depth > self.max_depth:
+            self.error(f"nesting deeper than {self.max_depth} levels")
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text if tok.kind != EOF else "end of input"
-            raise ParseError(
-                f"expected {what or kind}, found {found!r}", tok.line, tok.column
-            )
-        return self.next()
+    def formula(self):
+        """unit (& unit)*, folded into a right-nested And; a unit is the
+        language's own or a parenthesised formula."""
+        tokens = self.tokens
+        units = []
+        while True:
+            if tokens[self.pos][0] == "(":
+                self.enter()
+                self.pos += 1
+                f = self.formula()
+                self.expect(")")
+                self.depth -= 1
+            else:
+                f = self.unit()
+            if tokens[self.pos][0] != "&":
+                break
+            self.pos += 1
+            units.append(f)
+        And = self.And
+        while units:
+            f = And(units.pop(), f)
+        return f
 
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
+    def literal(self):
+        """functor(term, ...); a functor keeps the arity it is first used with."""
+        tok = self.expect(IDENT, "predicate functor")
+        functor = tok[1]
+        if functor in self.reserved:
+            self.error(f"{functor!r} is reserved and cannot be a functor", tok)
+        tokens = self.tokens
+        if tokens[self.pos][0] != "(":
+            self.expect("(")
+        self.pos += 1
+        args = [self.term()]
+        while tokens[self.pos][0] == ",":
+            self.pos += 1
+            args.append(self.term())
+        if tokens[self.pos][0] != ")":
+            self.expect(")")
+        self.pos += 1
+        n = len(args)
+        seen = self.arities.setdefault(functor, n)
+        if seen != n:
+            raise ArityError(
+                f"functor {functor!r} used with arity {n} after {seen}",
+                tok[2], tok[3])
+        return self.Literal(functor, tuple(args))
+
+
+class _Leaves(dict):
+    """name -> leaf, made on first lookup."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, name):
+        leaf = self[name] = self.make(name)
+        return leaf

@@ -13,10 +13,12 @@ Directives, one per line, with ``#`` comments:
     cpart shift = [0,4] [5,9]    # or explicit blocks
     gpart fivepm = [3,3] [7,7]
 
-Constants must be declared before they are used in maximal/culm argument
-lists.  Unlisted predicate tuples denote the empty period set and a false
-culmination flag.  A file compiles only if the resulting model passes
-validate_model and the speech time lies on the timeline.
+Names follow the formula rule for identifiers (`lexer.is_identifier`), so
+a formula can name whatever a model file declares.  Constants must be
+declared before they are used in maximal/culm argument lists.  Unlisted
+predicate tuples denote the empty period set and a false culmination flag.
+A file compiles only if the resulting model passes validate_model and the
+speech time lies on the timeline.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from .core import (
     TopModel,
     validate_model,
 )
+from .lexer import is_identifier
 
 
 class ModelFileError(Exception):
@@ -60,11 +63,10 @@ class CompiledModel:
     speech: int
 
 
-_IDENT = r"[A-Za-z_]\w*"
+_IDENT = r"\w+"  # a name must also pass is_identifier, the formula rule
 _NUMBER = r"[0-9]+"  # \d and str.isdigit also match other scripts' digits
 _PERIOD_RE = re.compile(rf"\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]")
 _NUMBER_RE = re.compile(_NUMBER)
-_IDENT_RE = re.compile(_IDENT)
 _NAMED_RE = re.compile(rf"({_IDENT})\s*=\s*(.+)")  # periodconst, cpart, gpart
 _PRED_RE = re.compile(rf"({_IDENT})\s*/\s*({_NUMBER})")
 _TUPLE_RE = re.compile(rf"({_IDENT})\s*\(\s*(.*?)\s*\)\s*=\s*(.+)")
@@ -123,7 +125,7 @@ class _Compiler:
         self.speech = int(rest)
 
     def _d_object(self, lineno, rest):
-        if not _IDENT_RE.fullmatch(rest):
+        if not is_identifier(rest):
             raise ModelFileError(f"bad object name {rest!r}", lineno)
         if rest in self.consts:
             raise ModelFileError(f"name {rest!r} declared twice", lineno)
@@ -132,7 +134,7 @@ class _Compiler:
 
     def _d_periodconst(self, lineno, rest):
         m = _NAMED_RE.fullmatch(rest)
-        if not m:
+        if not m or not is_identifier(m[1]):
             raise ModelFileError("expected: periodconst name = [lo,hi]", lineno)
         name, rhs = m.group(1), m.group(2).strip()
         if name in self.consts:
@@ -144,7 +146,7 @@ class _Compiler:
 
     def _d_pred(self, lineno, rest):
         m = _PRED_RE.fullmatch(rest)
-        if not m:
+        if not m or not is_identifier(m[1]):
             raise ModelFileError("expected: pred name/arity", lineno)
         name, arity = m.group(1), int(m.group(2))
         if arity < 1:
@@ -157,7 +159,7 @@ class _Compiler:
 
     def _pred_tuple(self, lineno, text):
         m = _TUPLE_RE.fullmatch(text)
-        if not m:
+        if not m or not is_identifier(m[1]):
             raise ModelFileError("expected: functor(args) = ...", lineno)
         functor, argtext, rhs = m.group(1), m.group(2), m.group(3).strip()
         arity = self.pred_arity.get(functor)
@@ -193,7 +195,7 @@ class _Compiler:
 
     def _partitioning(self, lineno, rest, kind):
         m = _NAMED_RE.fullmatch(rest)
-        if not m:
+        if not m or not is_identifier(m[1]):
             raise ModelFileError(f"expected: {kind[0]}part name = ...", lineno)
         name, rhs = m.group(1), m.group(2).strip()
         if name in self.cparts or name in self.gparts:

@@ -29,7 +29,6 @@ from .core import (
     raising,
     subper,
 )
-from .lexer import ArityError, ParseError, TokenStream
 
 
 # ---------------------------------------------------------------------------
@@ -195,145 +194,81 @@ def functors(f) -> set:
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-_OPERATORS = {
-    "Pres",
-    "Past",
-    "Perf",
-    "Culm",
-    "At",
-    "Before",
-    "After",
-    "Fills",
-    "Ntense",
-    "For",
-    "Part",
-}
-_RESERVED = _OPERATORS | {"now"}
+#: each operator is written as its class's name
+_OPERATORS = {op.__name__: op for op in (
+    Pres, Past, Perf, Culm, At, Before, After, Fills, Ntense, For, Part)}
+_RESERVED = _OPERATORS.keys() | {"now"}
 
 
-class _TopParser:
-    def __init__(self, text: str):
-        self.ts = TokenStream(text)
-        self.arities = {}
-
-    def parse(self):
-        f = self.formula()
-        self.ts.expect(lexer.EOF, "end of input")
-        return f
-
-    def formula(self):
-        left = self.unit()
-        if self.ts.at("&"):
-            self.ts.next()
-            return And(left, self.formula())
-        return left
+class _TopParser(lexer.Parser):
+    And = And
+    Literal = Literal
+    reserved = _RESERVED
 
     def unit(self):
-        ts = self.ts
-        if ts.at("("):
-            ts.next()
-            f = self.formula()
-            ts.expect(")")
-            return f
-        tok = ts.peek()
-        if tok.kind != lexer.IDENT:
-            ts.error("expected a formula")
-        name = tok.text
-        if name in _OPERATORS:
-            return self.operator(name)
-        return self.literal()
-
-    def operator(self, name):
-        ts = self.ts
-        tok = ts.next()
-        if not ts.at("["):
-            raise ParseError(
-                f"{name!r} is an operator and needs [...]", tok.line, tok.column
-            )
-        ts.next()
-        if name == "Pres":
-            f = Pres(self.formula())
-        elif name == "Fills":
-            f = Fills(self.formula())
-        elif name in ("Past", "Perf"):
+        tok = self.tokens[self.pos]
+        kind, name, _, _ = tok
+        if kind != lexer.IDENT:
+            self.error("expected a formula")
+        if name not in _OPERATORS:
+            return self.literal()
+        self.enter()
+        self.pos += 1
+        if self.tokens[self.pos][0] != "[":
+            self.error(f"{name!r} is an operator and needs [...]", tok)
+        self.pos += 1
+        op = _OPERATORS[name]
+        if op is Pres or op is Fills:
+            f = op(self.formula())
+        elif op is Past or op is Perf:
             v = self.variable()
-            ts.expect(",")
-            body = self.formula()
-            f = (Past if name == "Past" else Perf)(v, body)
-        elif name == "Culm":
-            f = Culm(self.literal())
-        elif name in ("At", "Before", "After"):
+            self.expect(",")
+            f = op(v, self.formula())
+        elif op is At or op is Before or op is After:
             term = self.term()
-            ts.expect(",")
-            body = self.formula()
-            cls = {"At": At, "Before": Before, "After": After}[name]
-            f = cls(term, body)
-        elif name == "Ntense":
-            if ts.at(lexer.IDENT, "now"):
-                ts.next()
-                anchor = None
+            self.expect(",")
+            f = op(term, self.formula())
+        elif op is Culm:
+            f = Culm(self.literal())
+        elif op is Ntense:
+            if self.tokens[self.pos][:2] == (lexer.IDENT, "now"):
+                self.pos += 1
+                v = None
             else:
-                anchor = self.variable()
-            ts.expect(",")
-            f = Ntense(anchor, self.formula())
-        elif name == "For":
-            part = self.ident("partitioning name")
-            ts.expect(",")
-            qty_tok = ts.expect(lexer.INT, "quantity")
-            qty = int(qty_tok.text)
+                v = self.variable()
+            self.expect(",")
+            f = Ntense(v, self.formula())
+        elif op is For:
+            part = self.expect(lexer.IDENT, "partitioning name")[1]
+            self.expect(",")
+            qty_tok = self.expect(lexer.INT, "quantity")
+            qty = int(qty_tok[1])
             if qty < 1:
-                raise ParseError(
-                    "quantity must be at least 1", qty_tok.line, qty_tok.column
-                )
-            ts.expect(",")
+                self.error("quantity must be at least 1", qty_tok)
+            self.expect(",")
             f = For(part, qty, self.formula())
         else:  # Part
-            part = self.ident("partitioning name")
-            ts.expect(",")
+            part = self.expect(lexer.IDENT, "partitioning name")[1]
+            self.expect(",")
             f = Part(part, self.variable())
-        ts.expect("]")
+        self.expect("]")
+        self.depth -= 1
         return f
 
-    def literal(self):
-        tok = self.ts.expect(lexer.IDENT, "predicate functor")
-        if tok.text in _RESERVED:
-            raise ParseError(
-                f"{tok.text!r} is reserved and cannot be a functor",
-                tok.line,
-                tok.column,
-            )
-        self.ts.expect("(")
-        args = [self.term()]
-        while self.ts.at(","):
-            self.ts.next()
-            args.append(self.term())
-        self.ts.expect(")")
-        seen = self.arities.setdefault(tok.text, len(args))
-        if seen != len(args):
-            raise ArityError(
-                f"functor {tok.text!r} used with arity {len(args)} after {seen}",
-                tok.line,
-                tok.column,
-            )
-        return Literal(tok.text, tuple(args))
-
     def term(self):
-        if self.ts.at(lexer.VAR):
-            return Var(self.ts.next().text)
-        tok = self.ts.expect(lexer.IDENT, "constant or variable")
-        if tok.text in _RESERVED:
-            raise ParseError(
-                f"{tok.text!r} is reserved and cannot be a constant",
-                tok.line,
-                tok.column,
-            )
-        return Const(tok.text)
+        kind, name, _, _ = self.tokens[self.pos]
+        if kind == lexer.VAR:
+            self.pos += 1
+            return self.vars[name]
+        if kind != lexer.IDENT:
+            self.expect(lexer.IDENT, "constant or variable")
+        if name in _RESERVED:
+            self.error(f"{name!r} is reserved and cannot be a constant")
+        self.pos += 1
+        return self.consts[name]
 
     def variable(self):
-        return Var(self.ts.expect(lexer.VAR, "variable").text)
-
-    def ident(self, what):
-        return self.ts.expect(lexer.IDENT, what).text
+        return self.vars[self.expect(lexer.VAR, "variable")[1]]
 
 
 def parse_top(text: str):

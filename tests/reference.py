@@ -1,11 +1,13 @@
-"""Reference semantics: tree-walking evaluators for both languages, and a
-character-loop tokenizer.
+"""Reference semantics: tree-walking evaluators for both languages, a
+character-loop tokenizer, and cursor-driven parsers.
 
 The evaluators walk the formula at every call, one clause per node type,
 exactly as the definitions read.  The package compiles formulas into
 closures instead; tests compare the two.  The tokenizer reads one
 character at a time, where the package runs one compiled pattern; tests
-compare those too.
+compare those too.  The parsers recurse once per conjunct and read tokens
+through a peek/next/expect stream, where the package parses ``&`` chains
+with a loop on a shared descent core; tests compare their ASTs and errors.
 """
 from chronos import bot, lexer, top
 from chronos.core import (
@@ -21,6 +23,7 @@ from chronos.core import (
     intersect,
     subper,
 )
+from chronos.lexer import ArityError, ParseError, Token
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -90,6 +93,373 @@ def _is_ident_start(ch: str) -> bool:
 
 def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
+
+
+# ---------------------------------------------------------------------------
+# Parsers: a token-stream cursor and one recursive-descent parser per
+# language, where the package runs both on lexer.Parser
+
+
+class TokenStream:
+    def __init__(self, text: str):
+        self.tokens = lexer.tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != lexer.EOF:
+            self.pos += 1
+        return tok
+
+    def at(self, kind: str, text: str | None = None) -> bool:
+        tok = self.peek()
+        return tok.kind == kind and (text is None or tok.text == text)
+
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            found = tok.text if tok.kind != lexer.EOF else "end of input"
+            raise ParseError(
+                f"expected {what or kind}, found {found!r}", tok.line, tok.column
+            )
+        return self.next()
+
+    def error(self, message: str):
+        tok = self.peek()
+        raise ParseError(message, tok.line, tok.column)
+
+
+_TOP_OPERATORS = {
+    "Pres",
+    "Past",
+    "Perf",
+    "Culm",
+    "At",
+    "Before",
+    "After",
+    "Fills",
+    "Ntense",
+    "For",
+    "Part",
+}
+_TOP_RESERVED = _TOP_OPERATORS | {"now"}
+
+
+class _TopParser:
+    def __init__(self, text: str):
+        self.ts = TokenStream(text)
+        self.arities = {}
+
+    def parse(self):
+        f = self.formula()
+        self.ts.expect(lexer.EOF, "end of input")
+        return f
+
+    def formula(self):
+        left = self.unit()
+        if self.ts.at("&"):
+            self.ts.next()
+            return top.And(left, self.formula())
+        return left
+
+    def unit(self):
+        ts = self.ts
+        if ts.at("("):
+            ts.next()
+            f = self.formula()
+            ts.expect(")")
+            return f
+        tok = ts.peek()
+        if tok.kind != lexer.IDENT:
+            ts.error("expected a formula")
+        name = tok.text
+        if name in _TOP_OPERATORS:
+            return self.operator(name)
+        return self.literal()
+
+    def operator(self, name):
+        ts = self.ts
+        tok = ts.next()
+        if not ts.at("["):
+            raise ParseError(
+                f"{name!r} is an operator and needs [...]", tok.line, tok.column
+            )
+        ts.next()
+        if name == "Pres":
+            f = top.Pres(self.formula())
+        elif name == "Fills":
+            f = top.Fills(self.formula())
+        elif name in ("Past", "Perf"):
+            v = self.variable()
+            ts.expect(",")
+            body = self.formula()
+            f = (top.Past if name == "Past" else top.Perf)(v, body)
+        elif name == "Culm":
+            f = top.Culm(self.literal())
+        elif name in ("At", "Before", "After"):
+            term = self.term()
+            ts.expect(",")
+            body = self.formula()
+            cls = {"At": top.At, "Before": top.Before, "After": top.After}[name]
+            f = cls(term, body)
+        elif name == "Ntense":
+            if ts.at(lexer.IDENT, "now"):
+                ts.next()
+                anchor = None
+            else:
+                anchor = self.variable()
+            ts.expect(",")
+            f = top.Ntense(anchor, self.formula())
+        elif name == "For":
+            part = self.ident("partitioning name")
+            ts.expect(",")
+            qty_tok = ts.expect(lexer.INT, "quantity")
+            qty = int(qty_tok.text)
+            if qty < 1:
+                raise ParseError(
+                    "quantity must be at least 1", qty_tok.line, qty_tok.column
+                )
+            ts.expect(",")
+            f = top.For(part, qty, self.formula())
+        else:  # Part
+            part = self.ident("partitioning name")
+            ts.expect(",")
+            f = top.Part(part, self.variable())
+        ts.expect("]")
+        return f
+
+    def literal(self):
+        tok = self.ts.expect(lexer.IDENT, "predicate functor")
+        if tok.text in _TOP_RESERVED:
+            raise ParseError(
+                f"{tok.text!r} is reserved and cannot be a functor",
+                tok.line,
+                tok.column,
+            )
+        self.ts.expect("(")
+        args = [self.term()]
+        while self.ts.at(","):
+            self.ts.next()
+            args.append(self.term())
+        self.ts.expect(")")
+        seen = self.arities.setdefault(tok.text, len(args))
+        if seen != len(args):
+            raise ArityError(
+                f"functor {tok.text!r} used with arity {len(args)} after {seen}",
+                tok.line,
+                tok.column,
+            )
+        return top.Literal(tok.text, tuple(args))
+
+    def term(self):
+        if self.ts.at(lexer.VAR):
+            return Var(self.ts.next().text)
+        tok = self.ts.expect(lexer.IDENT, "constant or variable")
+        if tok.text in _TOP_RESERVED:
+            raise ParseError(
+                f"{tok.text!r} is reserved and cannot be a constant",
+                tok.line,
+                tok.column,
+            )
+        return Const(tok.text)
+
+    def variable(self):
+        return Var(self.ts.expect(lexer.VAR, "variable").text)
+
+    def ident(self, what):
+        return self.ts.expect(lexer.IDENT, what).text
+
+
+_BOT_RESERVED = {
+    "subper",
+    "eq",
+    "period",
+    "part",
+    "prec",
+    "beg",
+    "now",
+    "end",
+    "earliest",
+    "latest",
+    "succ",
+    "intersect",
+}
+
+_BOT_POINT_KEYWORDS = {"beg": bot.BEG, "now": bot.NOW, "end": bot.END}
+
+
+class _BotParser:
+    def __init__(self, text: str):
+        self.ts = TokenStream(text)
+        self.arities = {}
+
+    def parse(self):
+        f = self.formula()
+        self.ts.expect(lexer.EOF, "end of input")
+        return f
+
+    def formula(self):
+        left = self.atom()
+        if self.ts.at("&"):
+            self.ts.next()
+            return bot.And(left, self.formula())
+        return left
+
+    def atom(self):
+        ts = self.ts
+        tok = ts.peek()
+        if tok.kind == "(":
+            # grouping; unambiguous because atoms always start with a name
+            ts.next()
+            f = self.formula()
+            ts.expect(")")
+            return f
+        if tok.kind != lexer.IDENT:
+            ts.error("expected an atomic formula")
+        name = tok.text
+        if name == "subper":
+            ts.next()
+            ts.expect("(")
+            a = self.period_expr()
+            ts.expect(",")
+            b = self.period_expr()
+            ts.expect(")")
+            return bot.Subper(a, b)
+        if name == "eq":
+            ts.next()
+            ts.expect("(")
+            a = self.term()
+            ts.expect(",")
+            b = self.term()
+            ts.expect(")")
+            return bot.Eq(a, b)
+        if name == "period":
+            ts.next()
+            ts.expect("(")
+            t = self.term()
+            ts.expect(")")
+            return bot.IsPeriod(t)
+        if name == "part":
+            ts.next()
+            ts.expect("(")
+            pname = ts.expect(lexer.IDENT, "partitioning name").text
+            ts.expect(",")
+            t = self.term()
+            ts.expect(")")
+            return bot.InPart(pname, t)
+        if name == "prec":
+            ts.next()
+            ts.expect("(")
+            a = self.point_expr()
+            ts.expect(",")
+            b = self.point_expr()
+            ts.expect(")")
+            return bot.Prec(a, b)
+        if name in _BOT_RESERVED:
+            raise ParseError(f"misplaced keyword {name!r}", tok.line, tok.column)
+        return self.literal()
+
+    def literal(self):
+        tok = self.ts.expect(lexer.IDENT, "predicate functor")
+        self.ts.expect("(")
+        args = [self.term()]
+        while self.ts.at(","):
+            self.ts.next()
+            args.append(self.term())
+        self.ts.expect(")")
+        seen = self.arities.setdefault(tok.text, len(args))
+        if seen != len(args):
+            raise ArityError(
+                f"functor {tok.text!r} used with arity {len(args)} after {seen}",
+                tok.line,
+                tok.column,
+            )
+        return bot.Literal(tok.text, tuple(args))
+
+    def term(self):
+        ts = self.ts
+        tok = ts.peek()
+        if tok.kind == lexer.VAR:
+            return Var(ts.next().text)
+        if tok.kind in ("[", "("):
+            return self.interval()
+        if tok.kind != lexer.IDENT:
+            ts.error("expected a term")
+        name = tok.text
+        if name in _BOT_POINT_KEYWORDS or name in ("earliest", "latest", "succ"):
+            return self.point_expr()
+        if name == "intersect":
+            return self.intersect()
+        if name in _BOT_RESERVED:
+            raise ParseError(f"misplaced keyword {name!r}", tok.line, tok.column)
+        return Const(ts.next().text)
+
+    def point_expr(self):
+        ts = self.ts
+        tok = ts.expect(lexer.IDENT, "point expression")
+        name = tok.text
+        if name in _BOT_POINT_KEYWORDS:
+            return _BOT_POINT_KEYWORDS[name]
+        if name in ("earliest", "latest"):
+            ts.expect("(")
+            p = self.period_expr()
+            ts.expect(")")
+            return bot.Earliest(p) if name == "earliest" else bot.Latest(p)
+        if name == "succ":
+            ts.expect("(")
+            p = self.point_expr()
+            ts.expect(")")
+            return bot.Succ(p)
+        raise ParseError(f"expected point expression, found {name!r}",
+                         tok.line, tok.column)
+
+    def period_expr(self):
+        ts = self.ts
+        tok = ts.peek()
+        if tok.kind in ("[", "("):
+            return self.interval()
+        if tok.kind == lexer.VAR:
+            return bot.TermRef(Var(ts.next().text))
+        if tok.kind == lexer.IDENT:
+            if tok.text == "intersect":
+                return self.intersect()
+            if tok.text not in _BOT_RESERVED:
+                return bot.TermRef(Const(ts.next().text))
+        ts.error("expected a period expression")
+
+    def intersect(self):
+        ts = self.ts
+        ts.next()  # the intersect keyword
+        ts.expect("(")
+        a = self.period_expr()
+        ts.expect(",")
+        b = self.period_expr()
+        ts.expect(")")
+        return bot.Intersect(a, b)
+
+    def interval(self):
+        ts = self.ts
+        open_tok = ts.next()
+        lo_closed = open_tok.kind == "["
+        lo = self.point_expr()
+        ts.expect(",")
+        hi = self.point_expr()
+        close_tok = ts.peek()
+        if close_tok.kind not in ("]", ")"):
+            ts.error("expected ']' or ')' closing an interval")
+        ts.next()
+        return bot.Interval(lo, hi, lo_closed, close_tok.kind == "]")
+
+
+def parse_top(text: str):
+    return _TopParser(text).parse()
+
+
+def parse_bot(text: str):
+    return _BotParser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,33 @@ def test_check_mutation_report_is_golden(capsys):
     assert code == 3
     golden = (DATA / "check-mutate-drop-past-narrowing-42.txt").read_text()
     assert capsys.readouterr().out == golden
+
+
+def test_deep_nesting_is_an_input_error(capsys):
+    # 2000 levels, alternately an operator and a group; the 201st level,
+    # the 101st Past, is the first beyond the cap
+    text = "Past[?e, (" * 1000 + "q(a)" + ")]" * 1000
+    assert main(["parse", "top", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 1, column 1001: nesting deeper than 200 levels\n")
+
+
+def test_long_bot_conjunction_evaluates(capsys):
+    text = "prec(beg, end) & " * 3000 + "empty(tank5, ?p)"
+    assert main(["eval", M0, "bot", text, "--trace"]) == 0
+    assert capsys.readouterr().out == "true\nwitness ?p=[2,5]\n"
+
+
+def test_model_files_declare_non_ascii_names(tmp_path, capsys):
+    model = tmp_path / "omega.tmodel"
+    model.write_text("timeline 4\nspeech 3\nobject Ωmega\npred p/1\n"
+                     "maximal p(Ωmega) = [0,1]\n", encoding="utf-8")
+    assert main(["eval", str(model), "top", "Past[?e, p(Ωmega)]"]) == 0
+    assert main(["eval", str(model), "bot", "p(Ωmega, ?q)", "--trace"]) == 0
+    assert capsys.readouterr().out == "true\ntrue\nwitness ?q=[0,1]\n"
+    for name in ("²a", "1a"):
+        model.write_text(f"timeline 4\nspeech 3\nobject {name}\n", encoding="utf-8")
+        assert main(["eval", str(model), "top", "p(a)"]) == 1
+        assert capsys.readouterr().err == f"error: line 3: bad object name {name!r}\n"

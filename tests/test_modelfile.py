@@ -2,6 +2,7 @@
 import pytest
 
 from chronos.core import Period
+from chronos.lexer import EOF, IDENT, ParseError, is_identifier, tokenize
 from chronos.modelfile import (
     ModelFileError,
     ModelValidationError,
@@ -120,3 +121,43 @@ def test_comments_and_blanks_ignored():
         "object a\npred q/1\nmaximal q(a) = [0,1]\n"
     )
     assert cm.model.timeline.size == 4
+
+
+def _lexer_accepts(name):
+    """True iff name is exactly one identifier token."""
+    try:
+        return [tok[:2] for tok in tokenize(name)] == [(IDENT, name), (EOF, "")]
+    except ParseError:
+        return False
+
+
+@pytest.mark.parametrize("name", ["tank5", "Ω", "ǅ", "〇", "_x", "a²", "²a", "٣a"])
+@pytest.mark.parametrize("directive", [
+    "object {}", "periodconst {} = [0,1]", "pred {}/1", "cpart {} = blocks 1",
+    "gpart {} = [0,0]",
+])
+def test_names_follow_the_formula_identifier_rule(name, directive):
+    text = "timeline 4\nspeech 1\n" + directive.format(name) + "\n"
+    try:
+        parse_model(text)
+        accepted = True
+    except ModelFileError as e:
+        assert e.line == 3
+        accepted = False
+    assert accepted == _lexer_accepts(name)
+
+
+def test_identifier_rule_matches_the_lexer_below_u0800():
+    for c in map(chr, range(0x800)):
+        for name in (c, "a" + c, c + "a", "_" + c + "_"):
+            assert is_identifier(name) == _lexer_accepts(name), repr(name)
+
+
+def test_predicate_tuples_name_non_ascii_functors():
+    cm = parse_model("timeline 4\nspeech 1\nobject Ωmega\npred ǅ/1\n"
+                     "maximal ǅ(Ωmega) = [0,1]\n")
+    assert cm.model.preds[("ǅ", 1)] == {("Ωmega",): frozenset({P(0, 1)})}
+    with pytest.raises(ModelFileError) as err:
+        parse_model("timeline 4\nspeech 1\nobject a\npred q/1\n"
+                    "maximal ²q(a) = [0,1]\n")
+    assert str(err.value) == "line 5: expected: functor(args) = ..."
