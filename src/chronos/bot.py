@@ -17,10 +17,12 @@ from . import lexer
 from .core import (
     EMPTY,
     UNDEFINED,
+    And,
     Assignment,
     BotModel,
     CandidatePlan,
     Const,
+    Literal,
     Period,
     UnboundVariable,
     UnknownConstant,
@@ -28,6 +30,7 @@ from .core import (
     UnknownPartitioning,
     Var,
     intersect,
+    print_chain,
     raising,
 )
 
@@ -95,23 +98,7 @@ class TermRef:
     term: object
 
 
-# Formulas
-
-
-@dataclass(frozen=True)
-class Literal:
-    functor: str
-    args: tuple
-
-    def __post_init__(self):
-        if not self.args:
-            raise ValueError("literals take at least one argument")
-
-
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
+# Formulas: `Literal` and `And` from core, and the special atoms
 
 
 @dataclass(frozen=True)
@@ -227,8 +214,6 @@ _RESERVED = (_POINT_KEYWORDS.keys() | _BOUNDS.keys() | _ATOM_KEYWORDS
 
 
 class _BotParser(lexer.Parser):
-    And = And
-    Literal = Literal
     # translating a TOP formula at most doubles its nesting, groups and
     # intersect chains both growing with the operators around them
     max_depth = 2 * lexer.MAX_DEPTH + 2
@@ -369,10 +354,7 @@ def print_bot(f) -> str:
     """Canonical concrete syntax; parse_bot(print_bot(f)) == f."""
     t = type(f)
     if t is And:
-        left = print_bot(f.left)
-        if type(f.left) is And:
-            left = f"({left})"
-        return f"{left} & {print_bot(f.right)}"
+        return print_chain(f, print_bot)
     if t is Literal:
         return f"{f.functor}({', '.join(_fmt_term(a) for a in f.args)})"
     if t is Subper:

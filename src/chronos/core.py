@@ -99,6 +99,65 @@ class Var:
         return "?" + self.name
 
 
+@dataclass(frozen=True)
+class Literal:
+    """A functor applied to terms; shared by both languages."""
+
+    functor: str
+    args: tuple
+
+    def __post_init__(self):
+        if not self.args:
+            raise ValueError("literals take at least one argument")
+
+
+@dataclass(frozen=True)
+class And:
+    """Conjunction, shared by both languages. A chain ``a & b & c`` nests to
+    the right; a left operand that is an And is a parenthesised group.
+    Equality and hashing loop along the right spine (see `chain`)."""
+
+    left: object
+    right: object
+
+    def __eq__(self, other):
+        if type(other) is not And:
+            return NotImplemented
+        return chain(self) == chain(other)
+
+    def __hash__(self):
+        return hash(tuple(chain(self)))
+
+
+def chain(f) -> list:
+    """The operands of f along its right spine, left to right; [f] unless f
+    is an And. The last operand is never an And; any other that is, is a
+    group."""
+    parts = []
+    while type(f) is And:
+        parts.append(f.left)
+        f = f.right
+    parts.append(f)
+    return parts
+
+
+def conjoin(parts):
+    """The right-nested And of parts, the inverse of `chain`."""
+    f = parts[-1]
+    for p in reversed(parts[:-1]):
+        f = And(p, f)
+    return f
+
+
+def print_chain(f, unit) -> str:
+    """The concrete syntax of a chain: unit(p) for each operand p, and a group
+    parenthesised. A plain loop, one frame per group level."""
+    out = []
+    for p in chain(f):
+        out.append(f"({print_chain(p, unit)})" if type(p) is And else unit(p))
+    return " & ".join(out)
+
+
 def intersect(a: PointSet, b: PointSet) -> PointSet:
     """Set intersection of two point sets; convexity is preserved."""
     if a is EMPTY or b is EMPTY:
@@ -268,8 +327,19 @@ class ObjectDomain:
         return o in self.atoms
 
 
+class _Model:
+    """What both interpretation structures share."""
+
+    def objects(self) -> Iterator[Object]:
+        return self.domain.objects()
+
+    def partitioning(self, name: str):
+        p = self.cparts.get(name)
+        return p if p is not None else self.gparts.get(name)
+
+
 @dataclass(frozen=True)
-class TopModel:
+class TopModel(_Model):
     """Interpretation structure for TOP formulas.
 
     preds maps (functor, arity) to extensions: argument tuple -> the set of
@@ -290,9 +360,6 @@ class TopModel:
         if self.domain.timeline != self.timeline:
             raise ValueError("domain built over a different timeline")
 
-    def objects(self) -> Iterator[Object]:
-        return self.domain.objects()
-
     def extension(self, functor: str, arity: int):
         """Extension map for a declared predicate, or None if undeclared."""
         return self.preds.get((functor, arity))
@@ -300,13 +367,9 @@ class TopModel:
     def culm_flag(self, functor: str, arity: int, args: tuple) -> bool:
         return self.culms.get((functor, arity), {}).get(args, False)
 
-    def partitioning(self, name: str):
-        p = self.cparts.get(name)
-        return p if p is not None else self.gparts.get(name)
-
 
 @dataclass(frozen=True)
-class BotModel:
+class BotModel(_Model):
     """Interpretation structure for BOT formulas.
 
     bot_preds maps (functor, arity) to the set of argument tuples on which
@@ -320,15 +383,8 @@ class BotModel:
     cparts: dict
     gparts: dict
 
-    def objects(self) -> Iterator[Object]:
-        return self.domain.objects()
-
     def true_tuples(self, functor: str, arity: int):
         return self.bot_preds.get((functor, arity))
-
-    def partitioning(self, name: str):
-        p = self.cparts.get(name)
-        return p if p is not None else self.gparts.get(name)
 
 
 @dataclass(frozen=True)

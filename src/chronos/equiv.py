@@ -24,6 +24,8 @@ from .core import (
     Timeline,
     TopModel,
     Var,
+    chain,
+    conjoin,
     derive_bot_model,
     validate_model,
 )
@@ -343,33 +345,24 @@ def _formula_shrinks(f):
     """All formulas one reduction step smaller: drop a conjunct, unwrap an
     operator, or lower a For quantity."""
     t = type(f)
-    out = []
     if t in (top.Literal, top.Part):
-        return out
+        return []
     if t is top.And:
-        out.append(f.left)
-        out.append(f.right)
-        out.extend(top.And(l2, f.right) for l2 in _formula_shrinks(f.left))
-        out.extend(top.And(f.left, r2) for r2 in _formula_shrinks(f.right))
+        # operand by operand along the spine: keep it and those before it
+        # only, drop it, or shrink it; shrunk reports depend on this order
+        parts, out = chain(f), []
+        for k, p in enumerate(parts):
+            if k < len(parts) - 1:
+                out += [conjoin(parts[:k + 1]), conjoin(parts[:k] + parts[k + 1:])]
+            out.extend(conjoin(parts[:k] + [p2] + parts[k + 1:])
+                       for p2 in _formula_shrinks(p))
         return out
+    out = [f.body]
     if t is top.Culm:
-        out.append(f.body)
         return out
-    out.append(f.body)
     if t is top.For and f.qty > 1:
-        out.append(top.For(f.cpart, f.qty - 1, f.body))
-    rebuilt = {
-        top.Pres: lambda b: top.Pres(b),
-        top.Fills: lambda b: top.Fills(b),
-        top.Past: lambda b: top.Past(f.var, b),
-        top.Perf: lambda b: top.Perf(f.var, b),
-        top.At: lambda b: top.At(f.term, b),
-        top.Before: lambda b: top.Before(f.term, b),
-        top.After: lambda b: top.After(f.term, b),
-        top.Ntense: lambda b: top.Ntense(f.var, b),
-        top.For: lambda b: top.For(f.cpart, f.qty, b),
-    }[t]
-    out.extend(rebuilt(b2) for b2 in _formula_shrinks(f.body))
+        out.append(replace(f, qty=f.qty - 1))
+    out.extend(replace(f, body=b2) for b2 in _formula_shrinks(f.body))
     return out
 
 

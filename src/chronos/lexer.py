@@ -23,7 +23,7 @@ import re
 from itertools import repeat
 from typing import NamedTuple
 
-from .core import Const, Var
+from .core import Const, Literal, Var, conjoin
 
 #: how deep TOP formulas may nest; BOT allows more (see bot._BotParser)
 MAX_DEPTH = 200
@@ -133,7 +133,6 @@ class Parser:
     or `Const` object.
     """
 
-    And = Literal = None  # the language's conjunction and literal classes
     reserved = frozenset()  # names that cannot be a functor
     max_depth = MAX_DEPTH
 
@@ -170,8 +169,8 @@ class Parser:
             self.error(f"nesting deeper than {self.max_depth} levels")
 
     def formula(self):
-        """unit (& unit)*, folded into a right-nested And; a unit is the
-        language's own or a parenthesised formula."""
+        """unit (& unit)*, conjoined into a right-nested And; a unit is the
+        language's own or a parenthesised formula, a group."""
         tokens = self.tokens
         units = []
         while True:
@@ -183,14 +182,10 @@ class Parser:
                 self.depth -= 1
             else:
                 f = self.unit()
-            if tokens[self.pos][0] != "&":
-                break
-            self.pos += 1
             units.append(f)
-        And = self.And
-        while units:
-            f = And(units.pop(), f)
-        return f
+            if tokens[self.pos][0] != "&":
+                return conjoin(units)
+            self.pos += 1
 
     def literal(self):
         """functor(term, ...); a functor keeps the arity it is first used with."""
@@ -215,7 +210,7 @@ class Parser:
             raise ArityError(
                 f"functor {functor!r} used with arity {n} after {seen}",
                 tok[2], tok[3])
-        return self.Literal(functor, tuple(args))
+        return Literal(functor, tuple(args))
 
 
 class _Leaves(dict):

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from . import lexer
 from .core import (
     EMPTY,
+    And,
     Assignment,
     CandidatePlan,
     Const,
+    Literal,
     Period,
     PointSet,
     TopModel,
@@ -25,30 +27,16 @@ from .core import (
     UnknownFunctor,
     UnknownPartitioning,
     Var,
+    chain,
     intersect,
+    print_chain,
     raising,
     subper,
 )
 
 
 # ---------------------------------------------------------------------------
-# Abstract syntax
-
-
-@dataclass(frozen=True)
-class Literal:
-    functor: str
-    args: tuple
-
-    def __post_init__(self):
-        if not self.args:
-            raise ValueError("literals take at least one argument")
-
-
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
+# Abstract syntax: `Literal` and `And` from core, and the operators
 
 
 @dataclass(frozen=True)
@@ -134,61 +122,52 @@ class EvalIndex:
 # Variable and functor collection
 
 
-def _walk_vars(f, out: list):
-    t = type(f)
-    if t is Literal:
-        for a in f.args:
-            if isinstance(a, Var) and a.name not in out:
-                out.append(a.name)
-    elif t is And:
-        _walk_vars(f.left, out)
-        _walk_vars(f.right, out)
-    elif t is Part:
-        if f.var.name not in out:
-            out.append(f.var.name)
-    elif t in (Past, Perf):
-        if f.var.name not in out:
-            out.append(f.var.name)
-        _walk_vars(f.body, out)
-    elif t in (Pres, Fills, For):
-        _walk_vars(f.body, out)
-    elif t is Culm:
-        _walk_vars(f.body, out)
-    elif t in (At, Before, After):
-        if isinstance(f.term, Var) and f.term.name not in out:
-            out.append(f.term.name)
-        _walk_vars(f.body, out)
-    elif t is Ntense:
-        if f.var is not None and f.var.name not in out:
-            out.append(f.var.name)
-        _walk_vars(f.body, out)
-    else:
-        raise TypeError(f"not a TOP formula: {f!r}")
+def symbols(f) -> tuple:
+    """(variable names in first-occurrence order, functor names) of a
+    formula, from one walk with an explicit stack: depth first, left to
+    right. All TOP variables are free."""
+    names, functors, todo = [], set(), [f]
+    while todo:
+        f = todo.pop()
+        t = type(f)
+        if t is Literal:
+            functors.add(f.functor)
+            for a in f.args:
+                if type(a) is Var and a.name not in names:
+                    names.append(a.name)
+        elif t is And:
+            todo.append(f.right)
+            todo.append(f.left)
+        elif t is Part:
+            if f.var.name not in names:
+                names.append(f.var.name)
+        elif t is Past or t is Perf or t is Ntense:
+            if f.var is not None and f.var.name not in names:
+                names.append(f.var.name)
+            todo.append(f.body)
+        elif t is At or t is Before or t is After:
+            if type(f.term) is Var and f.term.name not in names:
+                names.append(f.term.name)
+            todo.append(f.body)
+        elif t is Pres or t is Fills or t is Culm or t is For:
+            todo.append(f.body)
+        else:
+            raise TypeError(f"not a TOP formula: {f!r}")
+    return names, functors
 
 
 def free_vars_ordered(f) -> list:
-    """Free variable names in first-occurrence order (all TOP variables are free)."""
-    out = []
-    _walk_vars(f, out)
-    return out
+    """Free variable names in first-occurrence order."""
+    return symbols(f)[0]
 
 
 def free_vars(f) -> set:
-    return set(free_vars_ordered(f))
+    return set(symbols(f)[0])
 
 
 def functors(f) -> set:
     """All predicate functor names occurring in a formula."""
-    t = type(f)
-    if t is Literal:
-        return {f.functor}
-    if t is And:
-        return functors(f.left) | functors(f.right)
-    if t is Part:
-        return set()
-    if t in (Pres, Past, Perf, Culm, At, Before, After, Fills, Ntense, For):
-        return functors(f.body)
-    raise TypeError(f"not a TOP formula: {f!r}")
+    return symbols(f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +180,6 @@ _RESERVED = _OPERATORS.keys() | {"now"}
 
 
 class _TopParser(lexer.Parser):
-    And = And
-    Literal = Literal
     reserved = _RESERVED
 
     def unit(self):
@@ -282,34 +259,25 @@ def print_top(f) -> str:
     if t is Literal:
         return f"{f.functor}({', '.join(str(a) for a in f.args)})"
     if t is And:
-        left = print_top(f.left)
-        if type(f.left) is And:
-            left = f"({left})"
-        return f"{left} & {print_top(f.right)}"
+        return print_chain(f, print_top)
     if t is Part:
         return f"Part[{f.part}, {f.var}]"
-    if t is Pres:
-        return f"Pres[{print_top(f.body)}]"
-    if t is Past:
-        return f"Past[{f.var}, {print_top(f.body)}]"
-    if t is Perf:
-        return f"Perf[{f.var}, {print_top(f.body)}]"
-    if t is Culm:
-        return f"Culm[{print_top(f.body)}]"
-    if t is At:
-        return f"At[{f.term}, {print_top(f.body)}]"
-    if t is Before:
-        return f"Before[{f.term}, {print_top(f.body)}]"
-    if t is After:
-        return f"After[{f.term}, {print_top(f.body)}]"
-    if t is Fills:
-        return f"Fills[{print_top(f.body)}]"
-    if t is Ntense:
-        anchor = "now" if f.var is None else str(f.var)
-        return f"Ntense[{anchor}, {print_top(f.body)}]"
-    if t is For:
-        return f"For[{f.cpart}, {f.qty}, {print_top(f.body)}]"
-    raise TypeError(f"not a TOP formula: {f!r}")
+    if t is Pres or t is Fills or t is Culm:
+        head = ""
+    elif t is Past or t is Perf:
+        head = f"{f.var}, "
+    elif t is At or t is Before or t is After:
+        head = f"{f.term}, "
+    elif t is Ntense:
+        head = "now, " if f.var is None else f"{f.var}, "
+    elif t is For:
+        head = f"{f.cpart}, {f.qty}, "
+    else:
+        raise TypeError(f"not a TOP formula: {f!r}")
+    # a chain body is printed here, so that it costs no frame of its own
+    body = f.body
+    body = print_chain(body, print_top) if type(body) is And else print_top(body)
+    return f"{t.__name__}[{head}{body}]"
 
 
 # ---------------------------------------------------------------------------
@@ -477,18 +445,23 @@ class _Compiler:
         return situation
 
     def _and(self, f):
-        a, b = self.formula(f.left), self.formula(f.right)
+        """The operands of a chain, run left to right: False at the first
+        that is False, True if every one is True, else unknown."""
+        operands = []
+        for p in chain(f):
+            operands.append(self.formula(p))
 
-        def both(et, lt, g):
-            ra = a(et, lt, g)
-            if ra is False:
-                return False
-            rb = b(et, lt, g)
-            if rb is False:
-                return False
-            return rb if ra is True else _UNKNOWN
+        def every(et, lt, g):
+            result = True
+            for c in operands:
+                r = c(et, lt, g)
+                if r is not True:
+                    if r is False:
+                        return False
+                    result = _UNKNOWN
+            return result
 
-        return both
+        return every
 
     def _part(self, f):
         part = self.m.partitioning(f.part)

@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from . import bot, top
-from .core import Const, EtaMapping, Var
+from .core import Const, EtaMapping, Var, chain, conjoin
 
 
 class EtaCollision(Exception):
@@ -62,27 +62,23 @@ def _as_period(term):
     return term
 
 
-def _conjoin(parts):
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = bot.And(p, out)
-    return out
-
-
 def trans(f, eps, lam, ctx: TransContext):
     """Apply the rule matching f's head; total over the TOP grammar."""
     t = type(f)
 
     if t is top.Literal:
         b = ctx.fresh_var("p")
-        return _conjoin([
+        return conjoin([
             bot.Subper(_as_period(eps), lam),
             bot.Literal(f.functor, f.args + (b,)),
             bot.Subper(_as_period(eps), bot.TermRef(b)),
         ])
 
-    if t is top.And:
-        return bot.And(trans(f.left, eps, lam, ctx), trans(f.right, eps, lam, ctx))
+    if t is top.And:  # the operands' translations on one spine, groups kept
+        parts = []
+        for p in chain(f):
+            parts.append(trans(p, eps, lam, ctx))
+        return conjoin(parts)
 
     if t is top.Part:
         return bot.InPart(f.part, f.var)
@@ -103,7 +99,7 @@ def trans(f, eps, lam, ctx: TransContext):
     if t is top.Culm:
         lit = f.body
         culm_f, span_f = ctx.eta_pair(lit.functor)
-        return _conjoin([
+        return conjoin([
             bot.Subper(_as_period(eps), lam),
             bot.Literal(culm_f, lit.args),
             bot.Literal(span_f, lit.args + (eps,)),
@@ -161,10 +157,10 @@ def trans(f, eps, lam, ctx: TransContext):
             bot.Eq(bot.Latest(_as_period(blocks[-1])), bot.Latest(eps_p))
         )
         parts.append(trans(f.body, eps, lam, ctx))
-        return _conjoin(parts)
+        return conjoin(parts)
 
     if t is top.Perf:
-        return _conjoin([
+        return conjoin([
             bot.Subper(_as_period(eps), lam),
             bot.IsPeriod(f.var),
             bot.Prec(
@@ -185,10 +181,11 @@ def translate(f, *, eta: EtaMapping | None = None, mutation: str | None = None):
     """
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
+    names, functors = top.symbols(f)
     ctx = TransContext(
         eta=eta if eta is not None else EtaMapping(),
-        used_vars=set(top.free_vars(f)),
-        used_functors=frozenset(top.functors(f)),
+        used_vars=set(names),
+        used_functors=frozenset(functors),
         mutation=mutation,
     )
     eps = ctx.fresh_var("et")
@@ -210,13 +207,13 @@ def alpha_equivalent(a, b, fixed=frozenset()) -> bool:
             if fwd.setdefault(x.name, y.name) != y.name:
                 return False
             return bwd.setdefault(y.name, x.name) == x.name
-        if isinstance(x, tuple):
-            return len(x) == len(y) and all(walk(i, j) for i, j in zip(x, y))
-        if dataclasses.is_dataclass(x):
-            return all(
-                walk(getattr(x, fld.name), getattr(y, fld.name))
-                for fld in dataclasses.fields(x)
-            )
-        return x == y
+        if type(x) is bot.And:  # along the spine, a frame per group only
+            x, y = chain(x), chain(y)
+        elif dataclasses.is_dataclass(x):
+            names = [fld.name for fld in dataclasses.fields(x)]
+            x, y = [getattr(x, n) for n in names], [getattr(y, n) for n in names]
+        elif not isinstance(x, tuple):
+            return x == y
+        return len(x) == len(y) and all(map(walk, x, y))
 
     return walk(a, b)

@@ -161,6 +161,18 @@ def test_long_bot_conjunction_evaluates(capsys):
     assert capsys.readouterr().out == "true\nwitness ?p=[2,5]\n"
 
 
+def test_long_top_conjunctions_parse_evaluate_and_translate(tmp_path, capsys):
+    text = " & ".join(["empty(tank5)"] * 1000)
+    assert main(["parse", "top", text]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert main(["eval", M0, "top", text]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert main(["translate", text]) == 0
+    expected = tmp_path / "chain.bot"
+    expected.write_text(capsys.readouterr().out.replace("?_p", "?_q"))
+    assert main(["translate", text, "--check-alpha", str(expected)]) == 0
+
+
 def test_model_files_declare_non_ascii_names(tmp_path, capsys):
     model = tmp_path / "omega.tmodel"
     model.write_text("timeline 4\nspeech 3\nobject Ωmega\npred p/1\n"

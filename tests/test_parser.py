@@ -15,7 +15,7 @@ from chronos import bot, top
 from chronos.core import Var
 from chronos.equiv import GenParams, check_equivalence, gen_bot_formula, gen_case
 from chronos.lexer import EOF, VAR, ParseError, tokenize
-from chronos.translate import translate
+from chronos.translate import alpha_equivalent, translate
 
 DATA = Path(__file__).parent / "data"
 TOP_CAP = top._TopParser.max_depth
@@ -191,6 +191,24 @@ def test_chains_of_any_length_parse():
     conjuncts = bot.flatten(bot.parse_bot(text))
     assert len(conjuncts) == 5002
     assert conjuncts[-2:] == [bot.Eq(Var("x"), bot.NOW), bot.IsPeriod(Var("x"))]
+    # and print, compare, translate and walk with no recursion per conjunct
+    text, other = _chain(5000), _chain(4999) + " & q1(c0, ?x9)"
+    for parse, show in ((top.parse_top, top.print_top), (bot.parse_bot, bot.print_bot)):
+        f = parse(text)
+        assert show(f) == text
+        assert f == parse(text) and hash(f) == hash(parse(text))
+        assert f != parse(other)
+    f = top.parse_top(text)
+    assert f == bot.parse_bot(text)  # both languages build the core nodes
+    assert top.free_vars_ordered(f) == ["x0", "x1", "x2", "x3"]
+    assert top.functors(f) == {"q0", "q1", "q2"}
+    translated = translate(f)
+    printed = bot.print_bot(translated)
+    assert bot.parse_bot(printed) == translated
+    fixed = frozenset(top.free_vars(f))
+    renamed = bot.parse_bot(printed.replace("?_p", "?_q"))
+    assert alpha_equivalent(translated, renamed, fixed)
+    assert not alpha_equivalent(translated, translate(top.parse_top(other)), fixed)
 
 
 def test_groups_and_operators_side_by_side_do_not_nest():
