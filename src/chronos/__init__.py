@@ -31,8 +31,6 @@ from .core import (
     Violation,
     derive_bot_model,
     intersect,
-    mxlpers,
-    proper_subper,
     subper,
     validate_model,
 )

@@ -170,12 +170,6 @@ def _atom_subterms(f):
         yield from _subterms(term)
 
 
-def _atom_vars(f, out):
-    for s in _atom_subterms(f):
-        if type(s) is Var and s.name not in out:
-            out.append(s.name)
-
-
 def flatten(f) -> list:
     """Conjunct list of a formula, left to right."""
     out, todo = [], [f]
@@ -189,10 +183,9 @@ def flatten(f) -> list:
 
 
 def free_vars_ordered(f) -> list:
-    out = []
-    for atom in flatten(f):
-        _atom_vars(atom, out)
-    return out
+    return list(dict.fromkeys(
+        s.name for atom in flatten(f) for s in _atom_subterms(atom)
+        if type(s) is Var))
 
 
 def free_vars(f) -> set:
@@ -406,19 +399,19 @@ def _evaluate(x, g):
 class _Compiler:
     """Compiles BOT expressions against one model and speech time.
 
-    One walk over a conjunct gives its test, its variables in
-    first-occurrence order and the candidate filters it implies.  A part
-    that reads no variable is folded to its value, unless the clauses
-    would skip it.  A functor, constant or partitioning the model lacks
-    compiles to a closure that raises where evaluation reaches it, and
-    clears `resolved`, which turns every filter off.
+    One walk over a conjunct gives its test and its variables in
+    first-occurrence order, and narrows `plan` by the candidate filters it
+    implies.  A part that reads no variable is folded to its value, unless
+    the clauses would skip it.  A functor, constant or partitioning the
+    model lacks compiles to a closure that raises where evaluation reaches
+    it, and clears `resolved`, which leaves `plan` unused.
     """
 
     def __init__(self, m: BotModel, st: int):
         self.m = m
         self.st = st
         self.last = m.timeline.t_last
-        self.filters = []  # callables plan -> None
+        self.plan = CandidatePlan(m.domain.index)
         self.resolved = True
         self._seen = []  # variable occurrences, in walk order
 
@@ -448,7 +441,7 @@ class _Compiler:
         return _TERMS[type(e)](self, e)
 
     def _periods_only(self, name):
-        self.filters.append(lambda plan: plan.periods_only(name))
+        self.plan.restrict(name, self.plan.index.periods)
 
     # terms
 
@@ -542,7 +535,7 @@ class _Compiler:
             else None
             for a in f.args
         )
-        self.filters.append(lambda plan: plan.semijoin(tuples, key))
+        self.plan.semijoin(tuples, key)
         if all(type(a) is Var or type(x) is _Fixed and x.value is not UNDEFINED
                for a, x in zip(f.args, args)):
             # the folded arguments stay in place; only variables are read
@@ -601,9 +594,7 @@ class _Compiler:
                  (f.right, a, self._seen[start:middle]))
         for v, other, needs in sides:
             if type(v) is Var:
-                self.filters.append(
-                    lambda plan, name=v.name, needs=needs, value=_closure(other):
-                    plan.equal_to(name, needs, value))
+                self.plan.equal_to(v.name, needs, _closure(other))
         if type(a) is _Fixed and a.value is UNDEFINED:
             return _Fixed(False)
         if type(a) is _Fixed and type(b) is _Fixed:
@@ -634,8 +625,8 @@ class _Compiler:
             self.resolved = False
             return raising(UnknownPartitioning, f.part)
         if type(f.term) is Var:
-            name = f.term.name
-            self.filters.append(lambda plan: plan.only(name, part.blocks))
+            self.plan.restrict(
+                f.term.name, self.plan.index.positions(part.blocks))
         blocks = frozenset(part.blocks)
         if type(x) is _Fixed:
             return _Fixed(type(x.value) is Period and x.value in blocks)
@@ -715,16 +706,10 @@ def denot_bot_witness(m: BotModel, st: int, f):
     """
     compiler = _Compiler(m, st)
     conjuncts = [compiler.conjunct(atom) for atom in flatten(f)]
-    order = list(dict.fromkeys(n for _, names in conjuncts for n in names))
-    level = {name: i + 1 for i, name in enumerate(order)}
-    checks = [[] for _ in range(len(order) + 1)]
-    for test, names in conjuncts:
-        checks[max((level[n] for n in names), default=0)].append(test)
-    plan = CandidatePlan(m.domain.index, order)
-    if compiler.resolved:  # else a pruned value could skip a conjunct that raises
-        for narrow in compiler.filters:
-            narrow(plan)
-    return plan.search(checks)
+    plan = compiler.plan
+    if not compiler.resolved:  # a pruned value could skip a conjunct that raises
+        plan = CandidatePlan(m.domain.index)
+    return plan.search(conjuncts)
 
 
 def denot_bot(m: BotModel, st: int, f) -> bool:

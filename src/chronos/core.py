@@ -174,20 +174,9 @@ def subper(a: PointSet, b: PointSet) -> bool:
     return b.lo <= a.lo and a.hi <= b.hi
 
 
-def proper_subper(a: PointSet, b: PointSet) -> bool:
-    """True iff a and b are periods and a is a proper subperiod of b."""
-    return subper(a, b) and a != b
-
-
 def mergeable(a: Period, b: Period) -> bool:
     """True iff the union of a and b is itself convex (overlap or abut)."""
     return max(a.lo, b.lo) <= min(a.hi, b.hi) + 1
-
-
-def mxlpers(periods) -> set:
-    """The maximal periods of a set: members not properly contained in another."""
-    ps = set(periods)
-    return {p for p in ps if not any(proper_subper(p, q) for q in ps)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,6 +280,10 @@ class DomainIndex:
         if o.hi >= self._size:
             return None
         return self._period(o.lo, o.hi)
+
+    def positions(self, values) -> set:
+        """The positions of those of values that are in the domain."""
+        return set(map(self.position, values)) - {None}
 
     def period_positions(self, lo: int, lo_last: int, hi: int, hi_last: int):
         """Positions, in order, of the periods [a, b] of the timeline with
@@ -408,44 +401,32 @@ class EtaMapping:
 
 
 class CandidatePlan:
-    """Candidate values for each variable of an ordered depth-first search.
+    """Candidate values for the variables of a depth-first search.
 
-    Variables are bound in ``order``; a variable's candidates are the
-    domain narrowed by filters that every satisfying assignment passes, so
-    dropping the rest loses no witness.  Candidates keep domain order,
-    which keeps the first witness the one plain nested enumeration over
-    the whole domain finds.  A filter reads only variables bound before
-    the one it narrows.
+    A compiler narrows the plan as it compiles a formula, with filters
+    that every satisfying assignment passes, so dropping the rest loses
+    no witness.  Candidates keep domain order, which keeps the first
+    witness the one plain nested enumeration over the whole domain finds.
+    A filter that reads other variables narrows a variable only where
+    `search` binds them before it.
     """
 
-    def __init__(self, index: DomainIndex, order: list):
+    def __init__(self, index: DomainIndex):
         self.index = index
-        self.order = order
-        self._level = {name: i for i, name in enumerate(order)}
-        self._static = [None] * len(order)  # allowed domain positions, or None
-        self._dynamic = [[] for _ in order]  # callables g -> set of values
+        self._static = {}  # name -> allowed domain positions
+        self._joins = []  # (matching tuples, args) of each semijoin
+        self._equal = []  # (name, needs, value) of each equal_to
 
     def restrict(self, name, positions) -> None:
         """Restrict a variable to the given domain positions."""
-        i = self._level[name]
-        old = self._static[i]
-        if old is None:
-            self._static[i] = set(positions)
-        else:
-            self._static[i] = old.intersection(positions)
-
-    def only(self, name, values) -> None:
-        """Restrict a variable to values, whatever the others are bound to."""
-        self.restrict(name, set(map(self.index.position, values)) - {None})
-
-    def periods_only(self, name) -> None:
-        self.restrict(name, self.index.periods)
+        old = self._static.get(name)
+        self._static[name] = (set(positions) if old is None
+                              else old.intersection(positions))
 
     def equal_to(self, name, needs, value) -> None:
-        """Restrict a variable to {value(g)} once all names in needs are bound."""
-        i = self._level[name]
-        if all(self._level[n] < i for n in needs):
-            self._dynamic[i].append(lambda g: {value(g)})
+        """Restrict a variable to {value(g)} where all names in needs are
+        bound before it."""
+        self._equal.append((name, needs, value))
 
     def semijoin(self, tuples, args: tuple) -> None:
         """Restrict each variable of a literal to the matching tuples' values.
@@ -453,7 +434,7 @@ class CandidatePlan:
         args[k] is a Var, None where no filter reads the position, or the
         object a constant denotes.  A variable takes, at its first position,
         the values of the tuples that agree with the constants, with its own
-        other positions and with the variables bound before it.
+        other positions and, in `search`, with the variables bound before it.
         """
         known = [
             (k, a) for k, a in enumerate(args)
@@ -469,76 +450,89 @@ class CandidatePlan:
             and all(t[k] == t[j] for k, j in repeats)
         ]
         for j, v in enumerate(args):
-            if type(v) is not Var or args.index(v) != j:
-                continue
-            i = self._level[v.name]
-            checks = [
-                (k, a.name) for k, a in enumerate(args)
-                if type(a) is Var and self._level[a.name] < i
-            ]
-            if not checks:
-                self.only(v.name, (t[j] for t in rows))
-            else:
-                self._dynamic[i].append(
-                    lambda g, j=j, checks=checks: {
-                        t[j] for t in rows
-                        if all(t[k] == g[n] for k, n in checks)
-                    }
-                )
+            if type(v) is Var and args.index(v) == j:
+                self.restrict(v.name, self.index.positions(t[j] for t in rows))
+        self._joins.append((rows, args))
 
-    def candidates(self, level: int, g: Assignment) -> list:
-        """Values for the variable at level, given the earlier bindings in g."""
-        objects = self.index.objects
-        static = self._static[level]
-        dynamic = self._dynamic[level]
-        if not dynamic:
-            if static is None:
-                return objects
-            return [objects[i] for i in sorted(static)]
-        values = set.intersection(*(narrow(g) for narrow in dynamic))
-        positions = set(map(self.index.position, values)) - {None}
-        if static is not None:
-            positions &= static
-        return [objects[i] for i in sorted(positions)]
+    def search(self, tests: list):
+        """The first assignment, in candidate order, that passes every test,
+        or None.
 
-    def search(self, checks: list):
-        """The first assignment of the order's names, in candidate order,
-        that passes every check, or None.
-
-        checks[k] holds tests g -> bool that read at most the first k names;
-        they run, in list order, as soon as those names are bound, and the
-        first that fails cuts the branch.  This is the one depth-first
-        search behind both witness searches.  A name with no static
-        candidate stops it before it starts, with no check run.
+        tests holds (test, names) pairs, a test being g -> bool.  Names are
+        bound in the order of their first occurrence across the tests, and
+        each test runs, in list order, as soon as the last of its names is
+        bound, with exactly the names up to that one in g; the first that
+        fails cuts the branch.  This is the one depth-first search behind
+        both witness searches.  A name with no static candidate stops it
+        before it starts, with no test run.
         """
-        if any(static is not None and not static for static in self._static):
-            return None
-        order = self.order
+        order = list(dict.fromkeys(n for _, names in tests for n in names))
         last = len(order)
-        g = {}
-        # candidates no filter of which reads another variable, listed once
-        fixed = [
-            None if self._dynamic[k] else self.candidates(k, g)
-            for k in range(last)
-        ]
-
-        def dfs(level):
-            for check in checks[level]:
-                if not check(g):
-                    return None
-            if level == last:
-                return dict(g)
-            name = order[level]
-            values = fixed[level]
-            for val in self.candidates(level, g) if values is None else values:
-                g[name] = val
-                found = dfs(level + 1)
-                if found is not None:
-                    return found
-            g.pop(name, None)  # never bound when there are no candidates
+        level = {name: i for i, name in enumerate(order)}
+        checks = [[] for _ in range(last + 1)]
+        for test, names in tests:
+            checks[max((level[n] + 1 for n in names), default=0)].append(test)
+        static = [self._static.get(name) for name in order]
+        if any(s is not None and not s for s in static):
             return None
+        dynamic = [[] for _ in order]  # callables g -> set of values
+        for name, needs, value in self._equal:
+            i = level[name]
+            if all(level[n] < i for n in needs):
+                dynamic[i].append(lambda g, value=value: {value(g)})
+        for rows, args in self._joins:
+            for j, v in enumerate(args):
+                if type(v) is not Var or args.index(v) != j:
+                    continue
+                i = level[v.name]
+                bound = [
+                    (k, a.name) for k, a in enumerate(args)
+                    if type(a) is Var and level[a.name] < i
+                ]
+                if bound:
+                    dynamic[i].append(
+                        lambda g, j=j, rows=rows, bound=bound: {
+                            t[j] for t in rows
+                            if all(t[k] == g[n] for k, n in bound)
+                        }
+                    )
+        index = self.index
+        objects = index.objects
 
-        return dfs(0)
+        def candidates(i):
+            positions = static[i]
+            if dynamic[i]:
+                values = set.intersection(*(narrow(g) for narrow in dynamic[i]))
+                narrowed = index.positions(values)
+                positions = narrowed if positions is None else narrowed & positions
+            elif positions is None:
+                return objects
+            return [objects[p] for p in sorted(positions)]
+
+        g = {}
+        # candidates that read no other variable, listed once
+        fixed = [None if dynamic[i] else candidates(i) for i in range(last)]
+        stack = []  # for each bound name, an iterator over its further values
+        while True:
+            depth = len(stack)
+            for check in checks[depth]:
+                if not check(g):
+                    break
+            else:
+                if depth == last:
+                    return dict(g)
+                values = fixed[depth]
+                stack.append(iter(candidates(depth) if values is None else values))
+            while stack:  # bind the deepest name that has a value left
+                name = order[len(stack) - 1]
+                value = next(stack[-1], None)  # no object is None
+                if value is not None:
+                    g[name] = value
+                    break
+                stack.pop()
+                g.pop(name, None)  # never bound when there were no candidates
+            else:
+                return None
 
 
 class FunctorCollision(Exception):

@@ -126,34 +126,33 @@ def symbols(f) -> tuple:
     """(variable names in first-occurrence order, functor names) of a
     formula, from one walk with an explicit stack: depth first, left to
     right. All TOP variables are free."""
-    names, functors, todo = [], set(), [f]
+    names, functors, todo = {}, set(), [f]  # names as keys keep their order
     while todo:
         f = todo.pop()
         t = type(f)
         if t is Literal:
             functors.add(f.functor)
             for a in f.args:
-                if type(a) is Var and a.name not in names:
-                    names.append(a.name)
+                if type(a) is Var:
+                    names[a.name] = None
         elif t is And:
             todo.append(f.right)
             todo.append(f.left)
         elif t is Part:
-            if f.var.name not in names:
-                names.append(f.var.name)
+            names[f.var.name] = None
         elif t is Past or t is Perf or t is Ntense:
-            if f.var is not None and f.var.name not in names:
-                names.append(f.var.name)
+            if f.var is not None:
+                names[f.var.name] = None
             todo.append(f.body)
         elif t is At or t is Before or t is After:
-            if type(f.term) is Var and f.term.name not in names:
-                names.append(f.term.name)
+            if type(f.term) is Var:
+                names[f.term.name] = None
             todo.append(f.body)
         elif t is Pres or t is Fills or t is Culm or t is For:
             todo.append(f.body)
         else:
             raise TypeError(f"not a TOP formula: {f!r}")
-    return names, functors
+    return list(names), functors
 
 
 def free_vars_ordered(f) -> list:
@@ -311,7 +310,7 @@ class _Compiler:
     neither the index nor the assignment are computed here, once.  A
     functor, constant or partitioning the model lacks compiles to a
     closure that raises where evaluation reaches it, and clears
-    `resolved`, which turns every candidate filter off.
+    `resolved`, which leaves `plan`, the candidate filters, unused.
 
     `et` is the event time of the clause being compiled: _EVENT_TIME at
     the root, ?v inside Perf[?v, ...] and Ntense[?v, ...], the constant
@@ -322,7 +321,7 @@ class _Compiler:
         self.m = m
         self.st = st
         self.unbound = _unbound_error if strict else _unbound_unknown
-        self.filters = []  # callables plan -> None
+        self.plan = CandidatePlan(m.domain.index)
         self.resolved = True
         self.et = _EVENT_TIME
 
@@ -337,14 +336,12 @@ class _Compiler:
         return raising(error, arg)
 
     def _periods_only(self, name):
-        self.filters.append(lambda plan: plan.periods_only(name))
+        self.plan.restrict(name, self.plan.index.periods)
 
     def _event_times(self, positions):
         """Narrow a searched event time to the domain positions(index)."""
-        et = self.et
-        if type(et) is not Period:
-            self.filters.append(
-                lambda plan: plan.restrict(et, positions(plan.index)))
+        if type(self.et) is not Period:
+            self.plan.restrict(self.et, positions(self.plan.index))
 
     def _at_event_time(self, et, f):
         """Compile f, whose clauses read et as their event time."""
@@ -394,8 +391,7 @@ class _Compiler:
             return [(args, ps) for args, ps in ext.items()
                     if ps and (not culm or m.culm_flag(functor, n, args))]
 
-        self.filters.append(lambda plan: plan.semijoin(
-            [args for args, _ in entries()], pattern))
+        self.plan.semijoin([args for args, _ in entries()], pattern)
 
         def event_times(index):
             # et lies within a maximal period, or under Culm is the hull,
@@ -468,7 +464,7 @@ class _Compiler:
         if part is None:
             return self._missing(UnknownPartitioning, f.part)
         name, unbound = f.var.name, self.unbound
-        self.filters.append(lambda plan: plan.only(name, part.blocks))
+        self.plan.restrict(name, self.plan.index.positions(part.blocks))
         blocks = frozenset(part.blocks)
 
         def in_part(et, lt, g):
@@ -491,11 +487,10 @@ class _Compiler:
         name, unbound, st, now = f.var.name, self.unbound, self.st, self.et
         self._periods_only(name)
         if type(now) is Period:
-            self.filters.append(lambda plan: plan.only(name, [now]))
+            self.plan.restrict(name, self.plan.index.positions([now]))
         else:  # ?v equals the event time, whichever of the two is bound first
-            self.filters.append(lambda plan: (
-                plan.equal_to(name, [now], lambda g: g[now]),
-                plan.equal_to(now, [name], lambda g: g[name])))
+            self.plan.equal_to(name, [now], lambda g: g[now])
+            self.plan.equal_to(now, [name], lambda g: g[name])
         body = self.formula(f.body)
         window = Period(0, st - 1) if st > 0 else EMPTY
 
@@ -651,12 +646,10 @@ def denot_top_witness(m: TopModel, st: int, f):
     """
     compiler = _Compiler(m, st, strict=False)
     c = compiler.formula(f)
-    order = [_EVENT_TIME] + free_vars_ordered(f)
-    plan = CandidatePlan(m.domain.index, order)
-    plan.periods_only(_EVENT_TIME)
-    if compiler.resolved:  # else a pruned value could skip a clause that raises
-        for narrow in compiler.filters:
-            narrow(plan)
+    plan = compiler.plan
+    if not compiler.resolved:  # a pruned value could skip a clause that raises
+        plan = CandidatePlan(m.domain.index)
+    plan.restrict(_EVENT_TIME, plan.index.periods)
     full = m.timeline.full()
 
     def holds(g):
@@ -664,7 +657,11 @@ def denot_top_witness(m: TopModel, st: int, f):
         # comes only once all are bound
         return c(g[_EVENT_TIME], full, g) is not False
 
-    found = plan.search([[]] + [[holds]] * len(order))
+    # the formula runs after each binding; naming only the name just bound
+    # gives the order and levels that naming every name bound so far would,
+    # without a list per level that grows with the number of names
+    order = [_EVENT_TIME] + free_vars_ordered(f)
+    found = plan.search([(holds, (name,)) for name in order])
     if found is None:
         return None
     et = found.pop(_EVENT_TIME)

@@ -7,11 +7,11 @@ import itertools
 import random
 import time
 
+from bot_formulas import gen_bot_formula
 from chronos import bot, top
 from chronos.core import Const, Var
 from chronos.equiv import (
     GenParams,
-    gen_bot_formula,
     gen_formula,
     gen_model,
     run_campaign,

@@ -27,7 +27,7 @@ from chronos.bot import (
     parse_bot,
     print_bot,
 )
-from chronos.equiv import gen_bot_formula
+from bot_formulas import gen_bot_formula
 
 P = Period
 

@@ -173,6 +173,17 @@ def test_long_top_conjunctions_parse_evaluate_and_translate(tmp_path, capsys):
     assert main(["translate", text, "--check-alpha", str(expected)]) == 0
 
 
+def test_searches_bind_many_distinct_variables(capsys):
+    # one search level per variable; 1,200 levels are past the recursion limit
+    names = [f"?x{i}" for i in range(1200)]
+    bot_text = " & ".join(f"part(fivepm, {v})" for v in names)
+    top_text = " & ".join(f"Part[fivepm, {v}]" for v in names)
+    assert main(["eval", M0, "bot", bot_text]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert main(["eval", M0, "top", top_text]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
 def test_model_files_declare_non_ascii_names(tmp_path, capsys):
     model = tmp_path / "omega.tmodel"
     model.write_text("timeline 4\nspeech 3\nobject Ωmega\npred p/1\n"

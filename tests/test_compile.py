@@ -20,7 +20,8 @@ from chronos.core import (
     Timeline,
     derive_bot_model,
 )
-from chronos.equiv import GenParams, gen_bot_formula, gen_case
+from bot_formulas import gen_bot_formula
+from chronos.equiv import GenParams, gen_case
 from chronos.translate import translate
 
 

@@ -1,5 +1,5 @@
-"""Ontology operations: periods, intersection, subperiods, maximal periods,
-partitionings, model validation, and the derived BOT model."""
+"""Ontology operations: periods, intersection, subperiods, partitionings,
+model validation, the derived BOT model and the candidate search."""
 import itertools
 
 import pytest
@@ -20,8 +20,6 @@ from chronos.core import (
     derive_bot_model,
     intersect,
     mergeable,
-    mxlpers,
-    proper_subper,
     subper,
     validate_model,
 )
@@ -77,28 +75,6 @@ def test_subper_partial_order_exhaustive():
             assert subper(a, c)
 
 
-def test_mxlpers_examples():
-    assert mxlpers({P(1, 3), P(2, 3), P(5, 6)}) == {P(1, 3), P(5, 6)}
-    assert mxlpers(set()) == set()
-    assert mxlpers({P(0, 9)}) == {P(0, 9)}
-
-
-def test_mxlpers_characterization():
-    """Members are maximal; non-members sit under some maximal member."""
-    periods = Timeline(5).periods()
-    import random
-
-    rng = random.Random(2024)
-    for _ in range(60):
-        s = set(rng.sample(periods, rng.randint(0, 8)))
-        mx = mxlpers(s)
-        for p in mx:
-            assert p in s
-            assert not any(proper_subper(p, q) for q in s)
-        for q in s - mx:
-            assert any(proper_subper(q, p) for p in mx)
-
-
 def test_next_prev_bounded():
     tl = Timeline(10)
     assert tl.next(3) == 4
@@ -140,20 +116,57 @@ def test_period_positions_match_enumeration():
 
 def test_search_stops_at_an_empty_level():
     """A name with no static candidate ends the search before any check."""
-    plan = CandidatePlan(ObjectDomain(Timeline(3), ("a", "b")).index, ["x", "y"])
-    plan.only("y", [])
+    plan = CandidatePlan(ObjectDomain(Timeline(3), ("a", "b")).index)
+    plan.restrict("y", [])
     calls = []
 
     def check(g):
         calls.append(dict(g))
         return True
 
-    assert plan.search([[check], [check], [check]]) is None
+    tests = [(check, ()), (check, ("x",)), (check, ("x", "y"))]
+    assert plan.search(tests) is None
     assert calls == []
     # without the empty level the same checks run and find a witness
-    open_plan = CandidatePlan(plan.index, ["x", "y"])
-    assert open_plan.search([[check], [check], [check]]) == {"x": "a", "y": "a"}
+    open_plan = CandidatePlan(plan.index)
+    assert open_plan.search(tests) == {"x": "a", "y": "a"}
     assert calls
+
+
+def test_search_runs_each_test_once_its_last_name_is_bound():
+    """The order is the names' first occurrence across the tests; a test
+    sees exactly the names bound up to its last one, also after the search
+    backtracks past a name whose values ran out."""
+    plan = CandidatePlan(ObjectDomain(Timeline(2), ("a", "b")).index)
+    seen = []
+
+    def recording(label, verdict=lambda g: True):
+        def test(g):
+            seen.append((label, tuple(g)))
+            return verdict(g)
+        return test
+
+    def found(g):
+        return g["x"] == "b" and g["z"] == Period(1, 1)
+
+    tests = [
+        (recording("none"), ()),
+        (recording("y"), ("y",)),
+        (recording("yx"), ("y", "x")),
+        (recording("z", found), ("z",)),
+        (recording("xy"), ("x", "y")),
+    ]
+    witness = plan.search(tests)
+    assert witness == {"y": "a", "x": "b", "z": Period(1, 1)}
+    assert list(witness) == ["y", "x", "z"]
+    bound = {
+        "none": (), "y": ("y",), "yx": ("y", "x"), "xy": ("y", "x"),
+        "z": ("y", "x", "z"),
+    }
+    assert all(names == bound[label] for label, names in seen)
+    # every z fails under x = a; x = b then runs the tests of its level again
+    assert [label for label, _ in seen] == (
+        ["none", "y", "yx", "xy"] + ["z"] * 5 + ["yx", "xy"] + ["z"] * 5)
 
 
 def test_partitioning_rejects_overlap():

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from chronos import bot, top
-from chronos.core import derive_bot_model, validate_model
+from chronos import bot, equiv, top
+from chronos.core import UnknownConstant, derive_bot_model, validate_model
 from chronos.equiv import (
     GenParams,
     Verdict,
@@ -140,6 +140,22 @@ def test_mutation_detected_and_shrinks_stay_disagreeing():
     assert validate_model(sm) == []
     assert len(print_top(sf)) <= len(print_top(f))
     assert sm.timeline.size <= m.timeline.size
+
+
+def test_shrink_refuses_only_steps_that_fail_to_evaluate(monkeypatch):
+    m, st, f = gen_case(GenParams(seed=42), 10)
+
+    def failing(error):
+        def check(*args, **kwargs):
+            raise error
+        return check
+
+    monkeypatch.setattr(equiv, "check_equivalence", failing(UnknownConstant("c")))
+    assert shrink_counterexample(m, st, f) == (m, st, f)
+    # any other exception is a defect, and surfaces
+    monkeypatch.setattr(equiv, "check_equivalence", failing(RuntimeError("defect")))
+    with pytest.raises(RuntimeError, match="defect"):
+        shrink_counterexample(m, st, f)
 
 
 def test_known_gap_past_variable_reused_as_entity_argument():

@@ -13,7 +13,8 @@ import pytest
 import reference
 from chronos import bot, top
 from chronos.core import Var
-from chronos.equiv import GenParams, check_equivalence, gen_bot_formula, gen_case
+from bot_formulas import gen_bot_formula
+from chronos.equiv import GenParams, check_equivalence, gen_case
 from chronos.lexer import EOF, VAR, ParseError, tokenize
 from chronos.translate import alpha_equivalent, translate
 
