@@ -31,7 +31,6 @@ from .core import (
     Var,
     intersect,
     print_chain,
-    raising,
 )
 
 
@@ -369,7 +368,7 @@ def print_bot(f) -> str:
 
 class _Fixed:
     """A subexpression folded when it is compiled: its value under every
-    assignment, because it reads no variable and names nothing missing."""
+    assignment, because it reads no variable."""
 
     __slots__ = ("value",)
 
@@ -403,8 +402,8 @@ class _Compiler:
     first-occurrence order, and narrows `plan` by the candidate filters it
     implies.  A part that reads no variable is folded to its value, unless
     the clauses would skip it.  A functor, constant or partitioning the
-    model lacks compiles to a closure that raises where evaluation reaches
-    it, and clears `resolved`, which leaves `plan` unused.
+    model lacks raises UnknownFunctor, UnknownConstant or
+    UnknownPartitioning where it is looked up, in reading order.
     """
 
     def __init__(self, m: BotModel, st: int):
@@ -412,7 +411,6 @@ class _Compiler:
         self.st = st
         self.last = m.timeline.t_last
         self.plan = CandidatePlan(m.domain.index)
-        self.resolved = True
         self._seen = []  # variable occurrences, in walk order
 
     def conjunct(self, f):
@@ -451,8 +449,7 @@ class _Compiler:
 
     def _const(self, t):
         if t.name not in self.m.consts:
-            self.resolved = False
-            return raising(UnknownConstant, t.name)
+            raise UnknownConstant(f"unknown constant {t.name}")
         return _Fixed(self.m.consts[t.name])
 
     def _anchor(self, e):
@@ -525,13 +522,12 @@ class _Compiler:
 
     def _literal(self, f):
         tuples = self.m.true_tuples(f.functor, len(f.args))
-        args = [self.term(a) for a in f.args]
         if tuples is None:
-            self.resolved = False
-            return raising(UnknownFunctor, f"{f.functor}/{len(f.args)}")
+            raise UnknownFunctor(f"unknown functor {f.functor}/{len(f.args)}")
+        args = [self.term(a) for a in f.args]
         consts = self.m.consts
         key = tuple(
-            a if type(a) is Var else consts.get(a.name) if type(a) is Const
+            a if type(a) is Var else consts[a.name] if type(a) is Const
             else None
             for a in f.args
         )
@@ -620,10 +616,9 @@ class _Compiler:
 
     def _in_part(self, f):
         part = self.m.partitioning(f.part)
-        x = self.term(f.term)
         if part is None:
-            self.resolved = False
-            return raising(UnknownPartitioning, f.part)
+            raise UnknownPartitioning(f"unknown partitioning {f.part}")
+        x = self.term(f.term)
         if type(f.term) is Var:
             self.plan.restrict(
                 f.term.name, self.plan.index.positions(part.blocks))
@@ -688,10 +683,13 @@ def eval_bot(m: BotModel, st: int, g: Assignment, f) -> bool:
     """Truth of a formula under a full assignment of its variables.
 
     Atoms with an undefined argument are false; subper and part require
-    period denotations, eq requires identical defined denotations.
+    period denotations, eq requires identical defined denotations.  Every
+    conjunct is compiled before any is evaluated, so an unknown name
+    raises whatever the assignment.
     """
-    compiler = _Compiler(m, st)  # a conjunct is compiled once it is reached
-    return all(_evaluate(compiler.conjunct(atom)[0], g) for atom in flatten(f))
+    compiler = _Compiler(m, st)
+    tests = [compiler.conjunct(atom)[0] for atom in flatten(f)]
+    return all(_evaluate(test, g) for test in tests)
 
 
 def denot_bot_witness(m: BotModel, st: int, f):
@@ -706,10 +704,7 @@ def denot_bot_witness(m: BotModel, st: int, f):
     """
     compiler = _Compiler(m, st)
     conjuncts = [compiler.conjunct(atom) for atom in flatten(f)]
-    plan = compiler.plan
-    if not compiler.resolved:  # a pruned value could skip a conjunct that raises
-        plan = CandidatePlan(m.domain.index)
-    return plan.search(conjuncts)
+    return compiler.plan.search(conjuncts)
 
 
 def denot_bot(m: BotModel, st: int, f) -> bool:

@@ -11,11 +11,11 @@ import argparse
 import sys
 
 from . import bot, top
-from .core import EvalError, Period, derive_bot_model
+from .core import EvalError, FunctorCollision, Period, derive_bot_model
 from .equiv import GenParams, run_campaign
 from .lexer import ParseError
 from .modelfile import ModelFileError, load_model
-from .translate import MUTATIONS, alpha_equivalent, translate
+from .translate import MUTATIONS, EtaCollision, alpha_equivalent, translate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -151,7 +151,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ModelFileError, EvalError, ValueError, OSError) as e:
+    except (ParseError, ModelFileError, EvalError, FunctorCollision,
+            EtaCollision, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

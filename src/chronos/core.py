@@ -548,22 +548,15 @@ class UnboundVariable(EvalError):
 
 
 class UnknownFunctor(EvalError):
-    pass
+    """A functor of that arity the model lacks, met when compiling."""
 
 
 class UnknownConstant(EvalError):
-    pass
+    """A constant the model lacks, met when compiling."""
 
 
 class UnknownPartitioning(EvalError):
-    pass
-
-
-def raising(error, arg):
-    """A compiled closure that raises error(arg) when evaluation reaches it."""
-    def fail(*_):
-        raise error(arg)
-    return fail
+    """A partitioning the model lacks, met when compiling."""
 
 
 @dataclass(frozen=True)

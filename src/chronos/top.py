@@ -30,7 +30,6 @@ from .core import (
     chain,
     intersect,
     print_chain,
-    raising,
     subper,
 )
 
@@ -308,9 +307,9 @@ class _Compiler:
     instead of an error; False is only returned when the formula is false
     under every extension of g.  Windows and block spans that depend on
     neither the index nor the assignment are computed here, once.  A
-    functor, constant or partitioning the model lacks compiles to a
-    closure that raises where evaluation reaches it, and clears
-    `resolved`, which leaves `plan`, the candidate filters, unused.
+    functor, constant or partitioning the model lacks raises
+    UnknownFunctor, UnknownConstant or UnknownPartitioning where it is
+    looked up, in reading order: a clause's own names before its body's.
 
     `et` is the event time of the clause being compiled: _EVENT_TIME at
     the root, ?v inside Perf[?v, ...] and Ntense[?v, ...], the constant
@@ -322,7 +321,6 @@ class _Compiler:
         self.st = st
         self.unbound = _unbound_error if strict else _unbound_unknown
         self.plan = CandidatePlan(m.domain.index)
-        self.resolved = True
         self.et = _EVENT_TIME
 
     def formula(self, f):
@@ -331,9 +329,10 @@ class _Compiler:
             raise TypeError(f"not a TOP formula: {f!r}")
         return compile(self, f)
 
-    def _missing(self, error, arg):
-        self.resolved = False
-        return raising(error, arg)
+    def _const(self, name):
+        if name not in self.m.consts:
+            raise UnknownConstant(f"unknown constant {name}")
+        return self.m.consts[name]
 
     def _periods_only(self, name):
         self.plan.restrict(name, self.plan.index.periods)
@@ -364,27 +363,10 @@ class _Compiler:
         functor, n = lit.functor, len(lit.args)
         ext = m.extension(functor, n)
         if ext is None:
-            return self._missing(UnknownFunctor, f"{functor}/{n}")
-        pattern = []  # the arguments, each constant replaced by its object
-        for a in lit.args:
-            if type(a) is Var:
-                pattern.append(a)
-            elif a.name in m.consts:
-                pattern.append(m.consts[a.name])
-            else:
-                self.resolved = False
-                before = [v.name for v in pattern if type(v) is Var]
-
-                def unresolved(et, lt, g, name=a.name):
-                    if not subper(et, lt):
-                        return False
-                    for v in before:
-                        if v not in g:
-                            unbound(v)
-                    raise UnknownConstant(name)
-
-                return unresolved
-        pattern = tuple(pattern)
+            raise UnknownFunctor(f"unknown functor {functor}/{n}")
+        # the arguments, each constant replaced by its object
+        pattern = tuple(a if type(a) is Var else self._const(a.name)
+                        for a in lit.args)
         known = [(k, a) for k, a in enumerate(pattern) if type(a) is not Var]
 
         def entries():
@@ -462,7 +444,7 @@ class _Compiler:
     def _part(self, f):
         part = self.m.partitioning(f.part)
         if part is None:
-            return self._missing(UnknownPartitioning, f.part)
+            raise UnknownPartitioning(f"unknown partitioning {f.part}")
         name, unbound = f.var.name, self.unbound
         self.plan.restrict(name, self.plan.index.positions(part.blocks))
         blocks = frozenset(part.blocks)
@@ -520,11 +502,10 @@ class _Compiler:
         term = f.term
         if type(term) is Var:
             self._periods_only(term.name)
+        else:
+            v = self._const(term.name)
         body = self.formula(f.body)
         if type(term) is Const:
-            if term.name not in self.m.consts:
-                return self._missing(UnknownConstant, term.name)
-            v = self.m.consts[term.name]
             if type(v) is not Period:
                 return _never
             fixed = window(v)
@@ -567,11 +548,11 @@ class _Compiler:
         return ntense
 
     def _for(self, f):
-        body = self.formula(f.body)
         part = self.m.cparts.get(f.cpart)
         if part is None:
-            return self._missing(
-                UnknownPartitioning, f"{f.cpart} (complete partitioning)")
+            raise UnknownPartitioning(
+                f"unknown complete partitioning {f.cpart}")
+        body = self.formula(f.body)
         # qty consecutive blocks must span et exactly: the last point of
         # the span that starts at each block
         spans = {}
@@ -647,8 +628,6 @@ def denot_top_witness(m: TopModel, st: int, f):
     compiler = _Compiler(m, st, strict=False)
     c = compiler.formula(f)
     plan = compiler.plan
-    if not compiler.resolved:  # a pruned value could skip a clause that raises
-        plan = CandidatePlan(m.domain.index)
     plan.restrict(_EVENT_TIME, plan.index.periods)
     full = m.timeline.full()
 

@@ -8,12 +8,18 @@ character at a time, where the package runs one compiled pattern; tests
 compare those too.  The parsers recurse once per conjunct and read tokens
 through a peek/next/expect stream, where the package parses ``&`` chains
 with a loop on a shared descent core; tests compare their ASTs and errors.
+`first_unknown` walks a formula for the first name its model lacks, which
+the package's compilers must raise on.
 """
+from dataclasses import fields, is_dataclass
+
 from chronos import bot, lexer, top
 from chronos.core import (
     EMPTY,
     UNDEFINED,
+    BotModel,
     Const,
+    Literal,
     Period,
     UnboundVariable,
     UnknownConstant,
@@ -768,3 +774,35 @@ def eval_top(m, st, et, lt, g, f, strict):
         return eval_top(m, st, v, m.timeline.full(), g, f.body, strict)
 
     raise TypeError(f"not a TOP formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# Names
+
+
+def _names(m, f):
+    """(error class, whether m has the name) for every functor, constant and
+    partitioning f uses, in reading order: a node's own name first, then its
+    fields in declaration order."""
+    t = type(f)
+    if t is Const:
+        yield UnknownConstant, f.name in m.consts
+        return
+    if t is Literal:
+        table = m.true_tuples if isinstance(m, BotModel) else m.extension
+        yield UnknownFunctor, table(f.functor, len(f.args)) is not None
+    elif t is top.For:
+        yield UnknownPartitioning, f.cpart in m.cparts
+    elif t is top.Part or t is bot.InPart:
+        yield UnknownPartitioning, m.partitioning(f.part) is not None
+    for field in fields(f):
+        value = getattr(f, field.name)
+        for sub in value if type(value) is tuple else (value,):
+            if is_dataclass(sub):
+                yield from _names(m, sub)
+
+
+def first_unknown(m, f):
+    """The error class of the first name in f, a BOT or TOP formula or a BOT
+    term, that m lacks, or None when m has every name f uses."""
+    return next((error for error, known in _names(m, f) if not known), None)

@@ -264,17 +264,30 @@ def test_denot_matches_naive_enumeration(b0):
         assert denot_bot_witness(b0, 7, f) == naive
 
 
-def test_unresolved_references_keep_their_outcome(b0):
+def test_unknown_names_raise_when_compiled(b0):
     """A formula naming a functor, constant or partitioning the model lacks
-    is searched over the whole domain: the raising conjunct is reached
-    exactly when plain enumeration reaches it, even where another conjunct
-    admits no value at all."""
-    assert denot_bot_witness(b0, 7, parse_bot("prec(end, beg) & nosuch(tank5)")) is None
+    is ill-formed: the search and eval_bot both raise before evaluating
+    anything, even where another conjunct admits no value at all.  The
+    error names the first unknown name in reading order."""
     raising = {
-        "nosuch(?x) & empty(bridge2, ?x)": UnknownFunctor,
-        "subper(?p, nosuch) & empty(bridge2, ?p)": UnknownConstant,
-        "part(nosuch, ?x) & empty(bridge2, ?x)": UnknownPartitioning,
+        "prec(end, beg) & nosuch(tank5)":
+            (UnknownFunctor, "unknown functor nosuch/1"),
+        "nosuch(?x) & empty(bridge2, ?x)":
+            (UnknownFunctor, "unknown functor nosuch/1"),
+        "subper(?p, nosuch) & empty(bridge2, ?p)":
+            (UnknownConstant, "unknown constant nosuch"),
+        "part(nosuch, ?x) & empty(bridge2, ?x)":
+            (UnknownPartitioning, "unknown partitioning nosuch"),
+        "nosuch(nope)": (UnknownFunctor, "unknown functor nosuch/1"),
+        "empty(nope, ?p) & nosuch(tank5)": (UnknownConstant, "unknown constant nope"),
+        "part(nosuch, nope)": (UnknownPartitioning, "unknown partitioning nosuch"),
+        "eq(intersect([beg, end], nope), nosuch) & period(?x)":
+            (UnknownConstant, "unknown constant nope"),
     }
-    for text, error in raising.items():
-        with pytest.raises(error):
-            denot_bot_witness(b0, 7, parse_bot(text))
+    for text, (error, message) in raising.items():
+        f = parse_bot(text)
+        for run in (lambda: denot_bot_witness(b0, 7, f),
+                    lambda: eval_bot(b0, 7, {}, f)):
+            with pytest.raises(error) as raised:
+                run()
+            assert str(raised.value) == message, text

@@ -82,6 +82,32 @@ def test_eval_input_errors(tmp_path, capsys):
     assert main(["eval", M0, "top", "undeclared(tank5)"]) == 1
 
 
+def test_unknown_names_are_input_errors(capsys):
+    """Each unknown name is refused before the search, with its kind, though
+    the first three formulas could be false without reading it."""
+    cases = {
+        ("bot", "prec(end, beg) & nosuch(tank5)"): "unknown functor nosuch/1",
+        ("top", "At[tank5, nosuch(tank5)]"): "unknown functor nosuch/1",
+        ("top", "At[tank5, empty(nosuch)]"): "unknown constant nosuch",
+        ("top", "For[fivepm, 1, empty(tank5)]"):
+            "unknown complete partitioning fivepm",
+    }
+    for (lang, formula), message in cases.items():
+        assert main(["eval", M0, lang, formula]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_functor_collisions_are_input_errors(tmp_path, capsys):
+    model = tmp_path / "collide.tmodel"
+    model.write_text("timeline 4\nspeech 1\nobject a\npred q/1\npred cmp_q/1\n")
+    assert main(["eval", str(model), "bot", "q(a, ?p)"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: derived functor 'cmp_q' already used by the model\n")
+    assert main(["translate", "cmp_q(a) & Culm[q(b)]"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: derived functor 'cmp_q' is already in use\n")
+
+
 def test_non_ascii_digits_are_input_errors(tmp_path, capsys):
     for digit in ("\u00b2", "\u0663"):
         assert main(["parse", "top", f"For[cp0, {digit}, q(a)]"]) == 1

@@ -3,7 +3,10 @@
 Formulas are compiled once into closures, with the parts that read no
 variable folded to their values.  Here every compiled closure must give
 what the reference evaluators in reference.py give, or raise an exception
-of the same type, on generated formulas and assignments.
+of the same type, on generated formulas and assignments.  A formula that
+names a functor, constant or partitioning its model lacks must instead
+fail to compile, with the error of the first such name in reading order
+(`reference.first_unknown`).
 """
 import random
 
@@ -37,6 +40,15 @@ def _outcome(run):
     return value
 
 
+def _raised(run):
+    """The type of what a call raises, or None."""
+    try:
+        run()
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        return type(e)
+    return None
+
+
 def _speech_times(m):
     """The first point, an interior one and the last one."""
     return sorted({0, m.timeline.size // 2, m.timeline.t_last})
@@ -44,14 +56,22 @@ def _speech_times(m):
 
 def _check_conjuncts(m, f, objects, rng, tries=3):
     """Every conjunct of f, and every point and period expression in it,
-    under random full assignments at three speech times."""
+    under random full assignments at three speech times; where one names
+    something m lacks, it must raise that error, and so must f as a whole.
+    Returns how many conjuncts were compared with the reference."""
+    error = reference.first_unknown(m, f)
+    assert _raised(lambda: bot.denot_bot_witness(m, 0, f)) is error
+    atoms = bot.flatten(f)
+    errors = [reference.first_unknown(m, atom) for atom in atoms]
     names = bot.free_vars_ordered(f)
     for st in _speech_times(m):
         for _ in range(tries):
             g = {name: rng.choice(objects) for name in names}
-            for atom in bot.flatten(f):
+            assert _raised(lambda: bot.eval_bot(m, st, g, f)) is error
+            for atom, atom_error in zip(atoms, errors):
                 got = _outcome(lambda: bot.eval_bot(m, st, g, atom))
-                want = _outcome(lambda: reference.eval_bot(m, st, g, atom))
+                want = atom_error or _outcome(
+                    lambda: reference.eval_bot(m, st, g, atom))
                 assert got == want, (bot.print_bot(atom), st, g)
                 for e in bot._atom_subterms(atom):
                     if type(e) in reference.POINT_TYPES:
@@ -61,8 +81,10 @@ def _check_conjuncts(m, f, objects, rng, tries=3):
                     else:
                         continue
                     got = _outcome(lambda: pair[0](m, st, g, e))
-                    want = _outcome(lambda: pair[1](m, st, g, e))
+                    want = reference.first_unknown(m, e) or _outcome(
+                        lambda: pair[1](m, st, g, e))
                     assert got == want, (bot.print_bot(atom), e, st, g)
+    return errors.count(None)
 
 
 def _bot_vocabulary_model():
@@ -90,9 +112,13 @@ def _bot_vocabulary_model():
 
 def test_bot_conjuncts_of_generated_formulas_match_reference():
     m, objects = _bot_vocabulary_model()
+    compared = total = 0
     for i in range(300):
         rng = random.Random(f"compile-bot/{i}")
-        _check_conjuncts(m, gen_bot_formula(rng), objects, rng)
+        f = gen_bot_formula(rng)
+        compared += _check_conjuncts(m, f, objects, rng)
+        total += len(bot.flatten(f))
+    assert compared >= 454 and total - compared >= 100, (compared, total)
 
 
 def test_bot_conjuncts_of_translations_match_reference():
@@ -100,12 +126,19 @@ def test_bot_conjuncts_of_translations_match_reference():
     some of its names are unknown."""
     params = GenParams(seed=7)
     cases = [gen_case(params, i) for i in range(121)]
+    compared = total = 0
     for i, (m, _, f) in enumerate(cases[:-1]):
         rng = random.Random(f"compile-trans/{i}")
         translated = translate(f)
-        for model in (m, cases[i + 1][0]):
-            derived = derive_bot_model(model)
-            _check_conjuncts(derived, translated, list(derived.objects()), rng)
+        derived = derive_bot_model(m)
+        atoms = len(bot.flatten(translated))
+        objects = list(derived.objects())
+        assert _check_conjuncts(derived, translated, objects, rng) == atoms
+        derived = derive_bot_model(cases[i + 1][0])
+        objects = list(derived.objects())
+        compared += _check_conjuncts(derived, translated, objects, rng)
+        total += atoms
+    assert compared >= 393 and total - compared >= 50, (compared, total)
 
 
 def test_folded_constants_at_the_timeline_edges():
@@ -128,6 +161,12 @@ def test_folded_constants_at_the_timeline_edges():
 
 
 def _top_outcomes(m, st, f, g, strict, periods, windows):
+    """The compiled formula against the reference at every (et, lt); where f
+    names something m lacks, compiling must raise that error."""
+    error = reference.first_unknown(m, f)
+    if error is not None:
+        assert _raised(lambda: top._Compiler(m, st, strict).formula(f)) is error
+        return
     compiled = top._Compiler(m, st, strict).formula(f)
     for et in periods:
         for lt in windows:
@@ -142,6 +181,10 @@ def test_top_matches_reference_at_every_index():
     partial assignments, also against another case's model."""
     params = GenParams(timeline_size=6, seed=3)
     cases = [gen_case(params, i) for i in range(81)]
+    # how many formulas compile on the next case's model
+    resolved = [reference.first_unknown(after, f) is None
+                for (_, _, f), (after, _, _) in zip(cases, cases[1:])]
+    assert sum(resolved) >= 34 and resolved.count(False) >= 20, resolved
     for i, (m, _, f) in enumerate(cases[:-1]):
         rng = random.Random(f"compile-top/{i}")
         names = top.free_vars_ordered(f)

@@ -142,6 +142,23 @@ def test_mutation_detected_and_shrinks_stay_disagreeing():
     assert sm.timeline.size <= m.timeline.size
 
 
+def test_every_shrunk_mutation_case_compiles_and_disagrees():
+    """A shorter timeline drops the period constants that lie past it, and a
+    formula naming a dropped one no longer compiles, so the shrinker refuses
+    that step: each of the 39 seed-42 cases the mutation is caught on
+    shrinks to a triple that still compiles and still disagrees."""
+    params, mutation = GenParams(seed=42), "drop-past-narrowing"
+    shrunk = []
+    for i in range(1000):
+        m, st, f = gen_case(params, i)
+        if not check_equivalence(m, st, f, mutation=mutation).agree:
+            shrunk.append(shrink_counterexample(m, st, f, mutation=mutation))
+    assert len(shrunk) == 39
+    for sm, sst, sf in shrunk:
+        assert validate_model(sm) == []
+        assert not check_equivalence(sm, sst, sf, mutation=mutation).agree
+
+
 def test_shrink_refuses_only_steps_that_fail_to_evaluate(monkeypatch):
     m, st, f = gen_case(GenParams(seed=42), 10)
 

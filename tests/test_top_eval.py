@@ -329,15 +329,32 @@ def test_searches_match_naive_enumeration_on_longer_timelines():
     assert checked["top"] >= 150 and checked["bot"] >= 300, checked
 
 
-def test_unresolved_references_keep_their_outcome(m0):
-    """As in BOT: with an unresolved name the search keeps the whole domain,
-    so the clause that raises is reached although no value satisfies the
-    inspecting literal as a period."""
+def test_unknown_names_raise_when_compiled(m0):
+    """As in BOT: a formula naming something the model lacks raises before
+    the search or evaluation starts, although here no value satisfies the
+    inspecting literal as a period.  The error names the first unknown name
+    in reading order: a functor before its arguments, and the term of At,
+    Before and After and the partitioning of For before the body."""
     raising = {
-        "Ntense[?n, nosuch(tank5)] & inspecting(?n, ba737)": UnknownFunctor,
-        "Ntense[?n, empty(nosuch)] & inspecting(?n, ba737)": UnknownConstant,
-        "Ntense[?n, Part[nosuch, ?n]] & inspecting(?n, ba737)": UnknownPartitioning,
+        "Ntense[?n, nosuch(tank5)] & inspecting(?n, ba737)":
+            (UnknownFunctor, "unknown functor nosuch/1"),
+        "Ntense[?n, empty(nosuch)] & inspecting(?n, ba737)":
+            (UnknownConstant, "unknown constant nosuch"),
+        "Ntense[?n, Part[nosuch, ?n]] & inspecting(?n, ba737)":
+            (UnknownPartitioning, "unknown partitioning nosuch"),
+        "nosuch(nope)": (UnknownFunctor, "unknown functor nosuch/1"),
+        "Culm[empty(nope)] & nosuch(tank5)": (UnknownConstant, "unknown constant nope"),
+        "At[nope, nosuch(tank5)]": (UnknownConstant, "unknown constant nope"),
+        "Before[?x, empty(nope)] & After[nosuch, empty(tank5)]":
+            (UnknownConstant, "unknown constant nope"),
+        "For[fivepm, 1, empty(nope)]":
+            (UnknownPartitioning, "unknown complete partitioning fivepm"),
     }
-    for text, error in raising.items():
-        with pytest.raises(error):
-            denot_top_witness(m0.model, 7, parse_top(text))
+    index = EvalIndex(7, P(3, 4), P(0, 9))
+    for text, (error, message) in raising.items():
+        f = parse_top(text)
+        for run in (lambda: denot_top_witness(m0.model, 7, f),
+                    lambda: eval_top_at(m0.model, index, {}, f)):
+            with pytest.raises(error) as raised:
+                run()
+            assert str(raised.value) == message, text
