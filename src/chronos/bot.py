@@ -10,7 +10,6 @@ collapses to false at every atom.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 from . import lexer
@@ -24,6 +23,7 @@ from .core import (
     Const,
     Literal,
     Period,
+    Record,
     UnboundVariable,
     UnknownConstant,
     UnknownFunctor,
@@ -38,33 +38,27 @@ from .core import (
 # Abstract syntax: point expressions
 
 
-@dataclass(frozen=True)
-class Beg:
+class Beg(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Now:
+class Now(Record):
     pass
 
 
-@dataclass(frozen=True)
-class End:
+class End(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Earliest:
+class Earliest(Record):
     per: object
 
 
-@dataclass(frozen=True)
-class Latest:
+class Latest(Record):
     per: object
 
 
-@dataclass(frozen=True)
-class Succ:
+class Succ(Record):
     point: object
 
 
@@ -76,22 +70,19 @@ END = End()
 # Period expressions
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     lo: object
     hi: object
     lo_closed: bool = True
     hi_closed: bool = True
 
 
-@dataclass(frozen=True)
-class Intersect:
+class Intersect(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class TermRef:
+class TermRef(Record):
     """A constant or variable used where a period expression is expected."""
 
     term: object
@@ -100,31 +91,26 @@ class TermRef:
 # Formulas: `Literal` and `And` from core, and the special atoms
 
 
-@dataclass(frozen=True)
-class Subper:
+class Subper(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class IsPeriod:
+class IsPeriod(Record):
     term: object
 
 
-@dataclass(frozen=True)
-class InPart:
+class InPart(Record):
     part: str
     term: object
 
 
-@dataclass(frozen=True)
-class Prec:
+class Prec(Record):
     left: object
     right: object
 

@@ -12,9 +12,195 @@ share across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterator, Union
+
+
+# ---------------------------------------------------------------------------
+# Records: immutable value classes, built without generating code per class
+
+
+class factory:
+    """A field default made anew for each instance: ``seen: set = factory(set)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+# Positional initialisers by field count, filled by slot setters s0, s1, ...
+# Their parameters are renamed to the fields (see _init), so that keyword
+# construction, defaults and argument errors work as for a written __init__.
+def _init0(post):
+    def __init__(self):
+        if post:
+            post(self)
+    return __init__
+
+
+def _init1(post, s0):
+    def __init__(self, a):
+        s0(self, a)
+        if post:
+            post(self)
+    return __init__
+
+
+def _init2(post, s0, s1):
+    def __init__(self, a, b):
+        s0(self, a)
+        s1(self, b)
+        if post:
+            post(self)
+    return __init__
+
+
+def _init3(post, s0, s1, s2):
+    def __init__(self, a, b, c):
+        s0(self, a)
+        s1(self, b)
+        s2(self, c)
+        if post:
+            post(self)
+    return __init__
+
+
+def _init4(post, s0, s1, s2, s3):
+    def __init__(self, a, b, c, d):
+        s0(self, a)
+        s1(self, b)
+        s2(self, c)
+        s3(self, d)
+        if post:
+            post(self)
+    return __init__
+
+
+_INITS = (_init0, _init1, _init2, _init3, _init4)
+
+
+def _bind_init(post, names, setters, defaults):
+    """The initialiser of a record with more fields than _INITS covers, or
+    with a factory default; it binds its arguments itself."""
+    required = len(names) - len(defaults)
+
+    def __init__(self, *args, **kw):
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} "
+                            f"arguments, got {len(args)}")
+        values = list(args)
+        for i in range(len(args), len(names)):
+            if names[i] in kw:
+                values.append(kw.pop(names[i]))
+            elif i >= required:
+                d = defaults[i - required]
+                values.append(d.make() if type(d) is factory else d)
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument "
+                                f"{names[i]!r}")
+        if kw:
+            raise TypeError(f"{type(self).__name__}() got an unexpected or "
+                            f"repeated argument {next(iter(kw))!r}")
+        for s, v in zip(setters, values):
+            s(self, v)
+        if post:
+            post(self)
+    return __init__
+
+
+def _init(cls, names, defaults):
+    post = cls.__dict__.get("__post_init__")
+    setters = [cls.__dict__[n].__set__ for n in names]
+    if len(names) >= len(_INITS) or any(type(d) is factory for d in defaults):
+        return _bind_init(post, names, setters, defaults)
+    init = _INITS[len(names)](post, *setters)
+    init.__code__ = init.__code__.replace(co_varnames=("self", *names))
+    init.__defaults__ = tuple(defaults) or None
+    return init
+
+
+def _key(names):
+    """self -> the tuple of its field values."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda self: (get(self),)
+    return lambda self: ()
+
+
+class _RecordType(type):
+    """Makes each annotated name of a class body a field held in a slot, and
+    gives the class the methods it does not define itself: ``__init__``
+    (positional or keyword, then ``__post_init__`` if defined), ``__eq__``
+    (same class and equal fields), ``__hash__`` and ``__repr__``.  A field
+    with a default (a value, or a `factory`) comes after those without, and
+    a record class extends no record class that has fields."""
+
+    def __new__(mcs, name, bases, ns):
+        if any(getattr(b, "_fields", None) for b in bases):
+            raise TypeError(f"{name}: a record class with fields cannot be extended")
+        names = tuple(ns.get("__annotations__", ()))
+        given = [n for n in names if n in ns]
+        if given != list(names[len(names) - len(given):]):
+            raise TypeError(f"{name}: a field without a default follows one with")
+        defaults = [ns.pop(n) for n in given]
+        ns["__slots__"] = names + tuple(ns.get("__slots__", ()))
+        cls = super().__new__(mcs, name, bases, ns)
+        cls._fields = names
+        key = _key(names)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        def __repr__(self):
+            args = ", ".join(map("{}={!r}".format, names, key(self)))
+            return f"{type(self).__qualname__}({args})"
+
+        for method in (_init(cls, names, defaults), __eq__, __hash__, __repr__):
+            if method.__name__ not in ns:
+                method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+                setattr(cls, method.__name__, method)
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """Base of the immutable value classes: declare fields as annotations.
+
+    ``class Pair(Record): left: object; right: object`` gives ``Pair(a, b)``
+    and ``Pair(left=a, right=b)``, equality with another Pair of equal
+    fields, a hash, and the repr ``Pair(left=..., right=...)``.  Assigning
+    or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+
+def fields(record) -> tuple:
+    """The field names of a record or record class, in declaration order."""
+    return record._fields
+
+
+def replace(record, **changes):
+    """A copy of record with the named fields changed; the copy is built, and
+    so checked, like a new record."""
+    values = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**values, **changes})
 
 
 class _Empty:
@@ -49,9 +235,9 @@ EMPTY = _Empty()
 UNDEFINED = _Undefined()
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Period:
-    """Closed integer interval [lo, hi]; non-empty by construction."""
+class Period(Record):
+    """Closed integer interval [lo, hi]; non-empty by construction, ordered
+    by (lo, hi)."""
 
     lo: int
     hi: int
@@ -59,6 +245,35 @@ class Period:
     def __post_init__(self):
         if self.lo < 0 or self.lo > self.hi:
             raise ValueError(f"invalid period [{self.lo},{self.hi}]")
+
+    # written out, as every search compares, hashes and sorts periods
+    def __eq__(self, other):
+        if other.__class__ is Period:
+            return self.lo == other.lo and self.hi == other.hi
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __lt__(self, other):
+        if other.__class__ is Period:
+            return (self.lo, self.hi) < (other.lo, other.hi)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is Period:
+            return (self.lo, self.hi) <= (other.lo, other.hi)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is Period:
+            return (self.lo, self.hi) > (other.lo, other.hi)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is Period:
+            return (self.lo, self.hi) >= (other.lo, other.hi)
+        return NotImplemented
 
     def __contains__(self, t: int) -> bool:
         return self.lo <= t <= self.hi
@@ -79,28 +294,39 @@ Object = Union[str, Period]
 Assignment = dict
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
+def _name_eq(self, other):
+    if other.__class__ is self.__class__:
+        return self.name == other.name
+    return NotImplemented
+
+
+def _name_hash(self):
+    return hash((self.name,))
+
+
+class Const(Record):
     """Constant symbol; both languages draw from the same constant class."""
 
     name: str
+    __eq__ = _name_eq  # written out, as formulas compare symbols often
+    __hash__ = _name_hash
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(Record):
     """Variable symbol, written ?name; shared by both languages."""
 
     name: str
+    __eq__ = _name_eq
+    __hash__ = _name_hash
 
     def __str__(self):
         return "?" + self.name
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Record):
     """A functor applied to terms; shared by both languages."""
 
     functor: str
@@ -111,8 +337,7 @@ class Literal:
             raise ValueError("literals take at least one argument")
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     """Conjunction, shared by both languages. A chain ``a & b & c`` nests to
     the right; a left operand that is an And is a parenthesised group.
     Equality and hashing loop along the right spine (see `chain`)."""
@@ -179,8 +404,7 @@ def mergeable(a: Period, b: Period) -> bool:
     return max(a.lo, b.lo) <= min(a.hi, b.hi) + 1
 
 
-@dataclass(frozen=True, slots=True)
-class Timeline:
+class Timeline(Record):
     """Bounded discrete linear time: points 0 .. size-1."""
 
     size: int
@@ -223,8 +447,7 @@ COMPLETE = "complete"
 GAPPY = "gappy"
 
 
-@dataclass(frozen=True)
-class Partitioning:
+class Partitioning(Record):
     """Pairwise-disjoint periods; complete ones tile the whole timeline.
 
     Blocks are kept sorted by lo.  Whether the blocks actually cover the
@@ -293,10 +516,10 @@ class DomainIndex:
             self._period(a, max(a, hi)), self._period(a, hi_last) + 1)]
 
 
-@dataclass(frozen=True)
-class ObjectDomain:
+class ObjectDomain(Record):
     """Named atoms plus, implicitly, every period over the timeline."""
 
+    __slots__ = ("__dict__",)  # for the cached index
     timeline: Timeline
     atoms: tuple
 
@@ -323,6 +546,8 @@ class ObjectDomain:
 class _Model:
     """What both interpretation structures share."""
 
+    __slots__ = ()
+
     def objects(self) -> Iterator[Object]:
         return self.domain.objects()
 
@@ -331,8 +556,7 @@ class _Model:
         return p if p is not None else self.gparts.get(name)
 
 
-@dataclass(frozen=True)
-class TopModel(_Model):
+class TopModel(_Model, Record):
     """Interpretation structure for TOP formulas.
 
     preds maps (functor, arity) to extensions: argument tuple -> the set of
@@ -361,8 +585,7 @@ class TopModel(_Model):
         return self.culms.get((functor, arity), {}).get(args, False)
 
 
-@dataclass(frozen=True)
-class BotModel(_Model):
+class BotModel(_Model, Record):
     """Interpretation structure for BOT formulas.
 
     bot_preds maps (functor, arity) to the set of argument tuples on which
@@ -380,8 +603,7 @@ class BotModel(_Model):
         return self.bot_preds.get((functor, arity))
 
 
-@dataclass(frozen=True)
-class EtaMapping:
+class EtaMapping(Record):
     """Functor renaming scheme for the two derived culmination predicates.
 
     culm_functor(pi) names the predicate that is true when the situation of
@@ -559,8 +781,7 @@ class UnknownPartitioning(EvalError):
     """A partitioning the model lacks, met when compiling."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     code: str
     where: str
 
@@ -568,7 +789,9 @@ class Violation:
         return f"{self.code}: {self.where}"
 
 
-def derive_bot_model(m: TopModel, eta: EtaMapping = EtaMapping()) -> BotModel:
+def derive_bot_model(
+    m: TopModel, eta: EtaMapping = EtaMapping(), names=None
+) -> BotModel:
     """Build the BOT interpretation matching a TOP model.
 
     For each TOP predicate pi of arity n the result defines:
@@ -576,6 +799,10 @@ def derive_bot_model(m: TopModel, eta: EtaMapping = EtaMapping()) -> BotModel:
       * (culm(pi), n): true on args iff the culmination flag is set;
       * (span(pi), n+1): true on (args..., p) iff the situation holds
         somewhere and p runs from its first start to its last stop.
+
+    Given names, a set of BOT functors, only the predicates pi with pi,
+    culm(pi) or span(pi) among them are derived, which is all a formula
+    over those functors reads.  Collisions are checked over every pi.
     """
     functors = {}
     for f, n in list(m.preds) + list(m.culms):
@@ -590,6 +817,9 @@ def derive_bot_model(m: TopModel, eta: EtaMapping = EtaMapping()) -> BotModel:
 
     bot_preds = {}
     for f, n in functors.items():
+        if names is not None and not names.intersection(
+                (f, eta.culm_functor(f), eta.span_functor(f))):
+            continue
         ext = m.preds.get((f, n), {})
         flags = m.culms.get((f, n), {})
         base = set()

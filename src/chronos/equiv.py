@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
 
 from . import bot, top
 from .core import (
@@ -22,20 +21,21 @@ from .core import (
     ObjectDomain,
     Partitioning,
     Period,
+    Record,
     Timeline,
     TopModel,
     Var,
     chain,
     conjoin,
     derive_bot_model,
+    replace,
     validate_model,
 )
 from .modelfile import format_model
 from .translate import translate
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(Record):
     """Upper bounds for the random case generator; all draws stay below them."""
 
     timeline_size: int = 8
@@ -62,8 +62,7 @@ class GenParams:
                 raise ValueError(f"{name} must be in 1..{cap}, got {value}")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     top_value: bool
     bot_value: bool
     #: (assignment, et) from the TOP search, or a BOT assignment, when a
@@ -256,7 +255,7 @@ def check_equivalence(
     translation over the derived BOT model."""
     eta = eta if eta is not None else EtaMapping()
     translated = translate(f, eta=eta, mutation=mutation)
-    derived = derive_bot_model(m, eta)
+    derived = derive_bot_model(m, eta, bot.functors(translated))
     top_witness = top.denot_top_witness(m, st, f)
     bot_witness = bot.denot_bot_witness(derived, st, translated)
     witness = top_witness if top_witness is not None else bot_witness
@@ -427,8 +426,7 @@ def shrink_counterexample(
 # Campaign
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(Record):
     case: int
     sub_seed: str
     st: int
@@ -452,8 +450,7 @@ class Disagreement:
         )
 
 
-@dataclass(frozen=True)
-class CampaignReport:
+class CampaignReport(Record):
     params: GenParams
     cases: int
     mutation: str | None

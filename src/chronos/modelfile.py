@@ -23,7 +23,6 @@ speech time lies on the timeline.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (
     COMPLETE,
@@ -31,6 +30,7 @@ from .core import (
     ObjectDomain,
     Partitioning,
     Period,
+    Record,
     Timeline,
     TopModel,
     validate_model,
@@ -57,8 +57,7 @@ class ModelValidationError(ModelFileError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class CompiledModel:
+class CompiledModel(Record):
     model: TopModel
     speech: int
 

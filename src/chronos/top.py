@@ -9,8 +9,6 @@ which are free by construction; there is no binding operator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lexer
 from .core import (
     EMPTY,
@@ -21,6 +19,7 @@ from .core import (
     Literal,
     Period,
     PointSet,
+    Record,
     TopModel,
     UnboundVariable,
     UnknownConstant,
@@ -38,31 +37,26 @@ from .core import (
 # Abstract syntax: `Literal` and `And` from core, and the operators
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(Record):
     part: str
     var: Var
 
 
-@dataclass(frozen=True)
-class Pres:
+class Pres(Record):
     body: object
 
 
-@dataclass(frozen=True)
-class Past:
+class Past(Record):
     var: Var
     body: object
 
 
-@dataclass(frozen=True)
-class Perf:
+class Perf(Record):
     var: Var
     body: object
 
 
-@dataclass(frozen=True)
-class Culm:
+class Culm(Record):
     body: Literal
 
     def __post_init__(self):
@@ -70,37 +64,31 @@ class Culm:
             raise ValueError("Culm applies to a literal")
 
 
-@dataclass(frozen=True)
-class At:
+class At(Record):
     term: object
     body: object
 
 
-@dataclass(frozen=True)
-class Before:
+class Before(Record):
     term: object
     body: object
 
 
-@dataclass(frozen=True)
-class After:
+class After(Record):
     term: object
     body: object
 
 
-@dataclass(frozen=True)
-class Fills:
+class Fills(Record):
     body: object
 
 
-@dataclass(frozen=True)
-class Ntense:
+class Ntense(Record):
     var: object  # Var, or None for the now-anchored form
     body: object
 
 
-@dataclass(frozen=True)
-class For:
+class For(Record):
     cpart: str
     qty: int
     body: object
@@ -110,8 +98,7 @@ class For:
             raise ValueError("For quantity must be at least 1")
 
 
-@dataclass(frozen=True)
-class EvalIndex:
+class EvalIndex(Record):
     st: int
     et: Period
     lt: PointSet

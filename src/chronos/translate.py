@@ -9,11 +9,8 @@ unrestricted.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-
 from . import bot, top
-from .core import Const, EtaMapping, Var, chain, conjoin
+from .core import Const, EtaMapping, Record, Var, chain, conjoin, factory, fields
 
 
 class EtaCollision(Exception):
@@ -29,15 +26,18 @@ _PAST_WINDOW = bot.Interval(bot.BEG, bot.NOW, True, False)
 _NOW_PERIOD = bot.Interval(bot.NOW, bot.NOW, True, True)
 
 
-@dataclass
-class TransContext:
-    """Fresh-name source and functor mappings threaded through one rewrite."""
+class TransContext(Record):
+    """Fresh-name source and functor mappings threaded through one rewrite;
+    the one mutable record, as drawing a name advances the counter."""
 
-    eta: EtaMapping = field(default_factory=EtaMapping)
-    used_vars: set = field(default_factory=set)
+    eta: EtaMapping = factory(EtaMapping)
+    used_vars: set = factory(set)
     used_functors: frozenset = frozenset()
     counter: int = 0
     mutation: str | None = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def fresh_var(self, role: str) -> Var:
         while True:
@@ -209,8 +209,8 @@ def alpha_equivalent(a, b, fixed=frozenset()) -> bool:
             return bwd.setdefault(y.name, x.name) == x.name
         if type(x) is bot.And:  # along the spine, a frame per group only
             x, y = chain(x), chain(y)
-        elif dataclasses.is_dataclass(x):
-            names = [fld.name for fld in dataclasses.fields(x)]
+        elif isinstance(x, Record):
+            names = fields(x)
             x, y = [getattr(x, n) for n in names], [getattr(y, n) for n in names]
         elif not isinstance(x, tuple):
             return x == y

@@ -11,8 +11,6 @@ with a loop on a shared descent core; tests compare their ASTs and errors.
 `first_unknown` walks a formula for the first name its model lacks, which
 the package's compilers must raise on.
 """
-from dataclasses import fields, is_dataclass
-
 from chronos import bot, lexer, top
 from chronos.core import (
     EMPTY,
@@ -21,11 +19,13 @@ from chronos.core import (
     Const,
     Literal,
     Period,
+    Record,
     UnboundVariable,
     UnknownConstant,
     UnknownFunctor,
     UnknownPartitioning,
     Var,
+    fields,
     intersect,
     subper,
 )
@@ -795,10 +795,10 @@ def _names(m, f):
         yield UnknownPartitioning, f.cpart in m.cparts
     elif t is top.Part or t is bot.InPart:
         yield UnknownPartitioning, m.partitioning(f.part) is not None
-    for field in fields(f):
-        value = getattr(f, field.name)
+    for name in fields(f):
+        value = getattr(f, name)
         for sub in value if type(value) is tuple else (value,):
-            if is_dataclass(sub):
+            if isinstance(sub, Record):
                 yield from _names(m, sub)
 
 

@@ -149,7 +149,7 @@ def test_deepest_top_nest_parses_prints_translates_and_evaluates(m0):
 def test_bot_cap_admits_every_translation_the_top_cap_admits():
     # each level opens a group around the next and narrows the window, the
     # most a TOP operator adds to BOT nesting; the ASTs are compared by
-    # their text, because the dataclass == recurses too deep on them
+    # their text, because the record == recurses too deep on them
     text = _nest(TOP_CAP - 1, ("Before[k, {} & Part[cp, ?v]]",), "u(c)")
     printed = bot.print_bot(translate(top.parse_top(text)))
     assert bot.print_bot(bot.parse_bot(printed)) == printed
