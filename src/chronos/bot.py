@@ -24,11 +24,11 @@ from .core import (
     Literal,
     Period,
     Record,
-    UnboundVariable,
     UnknownConstant,
     UnknownFunctor,
     UnknownPartitioning,
     Var,
+    evaluate,
     intersect,
     print_chain,
 )
@@ -371,14 +371,8 @@ def _closure(x):
 
 
 def _evaluate(x, g):
-    """Run a compiled subexpression; a test reads g[name] directly, so an
-    unbound variable surfaces as KeyError and is reported here."""
-    if type(x) is _Fixed:
-        return x.value
-    try:
-        return x(g)
-    except KeyError as e:
-        raise UnboundVariable(e.args[0]) from None
+    """Run a compiled subexpression, folded or not."""
+    return x.value if type(x) is _Fixed else evaluate(x, g)
 
 
 class _Compiler:
@@ -674,8 +668,8 @@ def eval_bot(m: BotModel, st: int, g: Assignment, f) -> bool:
     raises whatever the assignment.
     """
     compiler = _Compiler(m, st)
-    tests = [compiler.conjunct(atom)[0] for atom in flatten(f)]
-    return all(_evaluate(test, g) for test in tests)
+    tests = [compiler.conjunct(atom) for atom in flatten(f)]
+    return all(evaluate(test, g) for test, _ in tests)
 
 
 def denot_bot_witness(m: BotModel, st: int, f):

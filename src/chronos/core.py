@@ -420,18 +420,6 @@ class Timeline(Record):
     def full(self) -> Period:
         return Period(0, self.size - 1)
 
-    def __contains__(self, t: int) -> bool:
-        return 0 <= t < self.size
-
-    def next(self, t: int):
-        return t + 1 if t < self.size - 1 else UNDEFINED
-
-    def prev(self, t: int):
-        return t - 1 if t > 0 else UNDEFINED
-
-    def points(self) -> range:
-        return range(self.size)
-
     def periods(self) -> list:
         """All periods over the timeline, ordered by (lo, hi)."""
         return list(_periods(self.size))
@@ -767,6 +755,16 @@ class EvalError(Exception):
 
 class UnboundVariable(EvalError):
     pass
+
+
+def evaluate(test, g):
+    """Run a compiled test, or expression, under g.  It reads g[name]
+    directly, so an unbound variable surfaces as KeyError and is reported
+    here."""
+    try:
+        return test(g)
+    except KeyError as e:
+        raise UnboundVariable(e.args[0]) from None
 
 
 class UnknownFunctor(EvalError):

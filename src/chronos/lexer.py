@@ -20,8 +20,6 @@ nesting depth that keeps the descent inside Python's recursion limit.
 from __future__ import annotations
 
 import re
-from itertools import repeat
-from typing import NamedTuple
 
 from .core import Const, Literal, Var, conjoin
 
@@ -50,13 +48,6 @@ INT = "int"
 EOF = "eof"
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT, VAR, INT, EOF, or the punctuation character itself
-    text: str
-    line: int
-    column: int
-
-
 # Blanks, then one token. Group numbers are the dispatch keys below, the
 # most frequent first. \w is exactly str.isalnum() or "_", so only a word's
 # first character needs a further check; a word that starts with an ASCII
@@ -75,14 +66,9 @@ _SCAN = re.compile(
 )
 
 
-def tokenize(text: str) -> list:
-    """The tokens of text as Tokens; raises ParseError."""
-    return list(map(tuple.__new__, repeat(Token), _scan(text)))
-
-
 def _scan(text: str) -> list:
-    """The tokens of text as plain (kind, text, line, column) tuples, which
-    are several times cheaper to build than Tokens; the parsers read these."""
+    """The tokens of text as plain (kind, text, line, column) tuples; the
+    parsers read these."""
     tokens = []
     append = tokens.append
     line, base = 1, -1  # base: index of the newline before this line

@@ -9,24 +9,25 @@ which are free by construction; there is no binding operator.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from . import lexer
 from .core import (
     EMPTY,
     And,
     Assignment,
     CandidatePlan,
-    Const,
     Literal,
     Period,
     PointSet,
     Record,
     TopModel,
-    UnboundVariable,
     UnknownConstant,
     UnknownFunctor,
     UnknownPartitioning,
     Var,
     chain,
+    evaluate,
     intersect,
     print_chain,
     subper,
@@ -266,55 +267,98 @@ def print_top(f) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: a formula is compiled once into a closure c(et, lt, g)
-
-_UNKNOWN = object()  # partial-assignment result: truth not yet determined
+# Evaluation: a formula is compiled once into a list of (test, scope) pairs
 
 #: the event time's key in a search assignment; no variable name equals it
 _EVENT_TIME = object()
 
 
-def _never(et, lt, g):
+def _never(g):
     return False
 
 
-def _unbound_error(name):
-    raise UnboundVariable(name)
+def _always(g):
+    return True
 
 
-def _unbound_unknown(name):
-    return _UNKNOWN
+def _inside(et, lt, g):
+    return subper(et, lt)
 
 
 class _Compiler:
-    """Compiles TOP formulas against one model and speech time.
+    """Compiles TOP formulas against one model and root index.
 
-    A formula becomes a closure c(et, lt, g), one per operator clause.
-    With strict=False an unbound variable makes the result _UNKNOWN
-    instead of an error; False is only returned when the formula is false
-    under every extension of g.  Windows and block spans that depend on
-    neither the index nor the assignment are computed here, once.  A
-    functor, constant or partitioning the model lacks raises
-    UnknownFunctor, UnknownConstant or UnknownPartitioning where it is
-    looked up, in reading order: a clause's own names before its body's.
+    No TOP operator negates or disjoins, so a formula is the conjunction of
+    the conditions its clauses check.  Each condition becomes a test g ->
+    bool in `tests`, paired with its scope: exactly the names it reads.
+    Those are its own variables, the event time of its clause when that is
+    searched, and, when it reads lt, the located variables whose windows
+    narrowed lt.  A clause adds its tests before its body's, in the order it
+    checks them, so running the list in order under a full assignment is
+    evaluation.  Windows and block spans that depend on no variable are
+    computed here, once, and `plan` is narrowed by filters that every
+    satisfying assignment passes.  A functor, constant or partitioning the
+    model lacks raises UnknownFunctor, UnknownConstant or
+    UnknownPartitioning where it is looked up, in reading order: a clause's
+    own names before its body's.
 
-    `et` is the event time of the clause being compiled: _EVENT_TIME at
-    the root, ?v inside Perf[?v, ...] and Ntense[?v, ...], the constant
-    [st, st] inside Ntense[now, ...]; clause filters narrow it.
+    `et` is the event time of the clause being compiled: a Period, or the
+    name that holds it (_EVENT_TIME at the root of a search, ?v inside
+    Perf[?v, ...] and Ntense[?v, ...]); inside Ntense[now, ...] it is
+    [st, st].  `lt` is the window: a point set, or, once a located variable
+    has narrowed it, a function of g that reads `lt_names`.
     """
 
-    def __init__(self, m: TopModel, st: int, strict: bool):
+    def __init__(self, m: TopModel, st: int, et, lt: PointSet):
         self.m = m
         self.st = st
-        self.unbound = _unbound_error if strict else _unbound_unknown
         self.plan = CandidatePlan(m.domain.index)
-        self.et = _EVENT_TIME
+        self.tests = []
+        self.et = et
+        self.lt, self.lt_names = lt, ()
 
     def formula(self, f):
         compile = _FORMULAS.get(type(f))
         if compile is None:
             raise TypeError(f"not a TOP formula: {f!r}")
-        return compile(self, f)
+        compile(self, f)
+
+    def _test(self, check, names=(), reads_lt=False):
+        """Add check(et, lt, g), which reads the given names of g and, when
+        reads_lt, the window, as a test of g alone."""
+        et, lt = self.et, self.lt
+        if type(et) is Period:
+            at = lambda g: et
+        else:
+            at, names = itemgetter(et), (*names, et)
+        if reads_lt and self.lt_names:
+            self.tests.append((lambda g: check(at(g), lt(g), g),
+                               names + self.lt_names))
+        else:
+            self.tests.append((lambda g: check(at(g), lt, g), names))
+
+    def _under(self, f, et, lt, lt_names=()):
+        """Compile f, whose clauses read et and lt as their index."""
+        outer = self.et, self.lt, self.lt_names
+        self.et, self.lt, self.lt_names = et, lt, lt_names
+        self.formula(f)
+        self.et, self.lt, self.lt_names = outer
+
+    def _within(self, f, window, name=None):
+        """Compile f with lt narrowed by a window: a point set, or, given a
+        name, the function that maps that variable's value to one."""
+        lt, names = self.lt, self.lt_names
+        if name is not None:
+            if names:
+                narrowed = lambda g: intersect(lt(g), window(g[name]))
+            else:
+                narrowed = lambda g: intersect(lt, window(g[name]))
+            names += (name,)
+        elif names:
+            narrowed = lambda g: intersect(lt(g), window)
+        else:
+            narrowed = intersect(lt, window)
+        self._under(f, self.et, narrowed, names)
 
     def _const(self, name):
         if name not in self.m.consts:
@@ -329,24 +373,17 @@ class _Compiler:
         if type(self.et) is not Period:
             self.plan.restrict(self.et, positions(self.plan.index))
 
-    def _at_event_time(self, et, f):
-        """Compile f, whose clauses read et as their event time."""
-        outer, self.et = self.et, et
-        body = self.formula(f)
-        self.et = outer
-        return body
-
     def _literal(self, f):
-        return self._situation(f, culm=False)
+        self._situation(f, culm=False)
 
     def _culm(self, f):
-        return self._situation(f.body, culm=True)
+        self._situation(f.body, culm=True)
 
     def _situation(self, lit, culm):
         """A literal is true iff et fits the window and some maximal period
         covers it; under Culm, iff the culmination flag is set and et runs
         from the situation's first start to its last stop."""
-        m, unbound = self.m, self.unbound
+        m = self.m
         functor, n = lit.functor, len(lit.args)
         ext = m.extension(functor, n)
         if ext is None:
@@ -392,88 +429,51 @@ class _Compiler:
                     return True
             return False
 
+        self._test(_inside, reads_lt=True)
         slots = [(k, a.name) for k, a in enumerate(lit.args) if type(a) is Var]
         if not slots:
-            return lambda et, lt, g: subper(et, lt) and holds(et, pattern)
+            self._test(lambda et, lt, g: holds(et, pattern))
+            return
 
         def situation(et, lt, g):
-            if not subper(et, lt):
-                return False
             args = list(pattern)
             for k, name in slots:
-                v = g.get(name, _UNKNOWN)
-                if v is _UNKNOWN:
-                    return unbound(name)
-                args[k] = v
+                args[k] = g[name]
             return holds(et, tuple(args))
 
-        return situation
+        self._test(situation, tuple(dict.fromkeys(name for _, name in slots)))
 
     def _and(self, f):
-        """The operands of a chain, run left to right: False at the first
-        that is False, True if every one is True, else unknown."""
-        operands = []
         for p in chain(f):
-            operands.append(self.formula(p))
-
-        def every(et, lt, g):
-            result = True
-            for c in operands:
-                r = c(et, lt, g)
-                if r is not True:
-                    if r is False:
-                        return False
-                    result = _UNKNOWN
-            return result
-
-        return every
+            self.formula(p)
 
     def _part(self, f):
         part = self.m.partitioning(f.part)
         if part is None:
             raise UnknownPartitioning(f"unknown partitioning {f.part}")
-        name, unbound = f.var.name, self.unbound
+        name = f.var.name
         self.plan.restrict(name, self.plan.index.positions(part.blocks))
         blocks = frozenset(part.blocks)
-
-        def in_part(et, lt, g):
-            v = g.get(name, _UNKNOWN)
-            if v is _UNKNOWN:
-                return unbound(name)
-            return type(v) is Period and v in blocks
-
-        return in_part
+        self.tests.append((lambda g: g[name] in blocks, (name,)))
 
     def _pres(self, f):
         # st must fall within the event time; lt is not consulted
-        st, body = self.st, self.formula(f.body)
-        last = self.m.timeline.t_last
+        st, last = self.st, self.m.timeline.t_last
         self._event_times(lambda index: index.period_positions(0, st, st, last))
-        return lambda et, lt, g: et.lo <= st <= et.hi and body(et, lt, g)
+        self._test(lambda et, lt, g: et.lo <= st <= et.hi)
+        self.formula(f.body)
 
     def _past(self, f):
-        # narrow lt to the part strictly before the speech time
-        name, unbound, st, now = f.var.name, self.unbound, self.st, self.et
+        # narrow lt to the points before the speech time
+        name, st, now = f.var.name, self.st, self.et
         self._periods_only(name)
         if type(now) is Period:
             self.plan.restrict(name, self.plan.index.positions([now]))
         else:  # ?v equals the event time, whichever of the two is bound first
             self.plan.equal_to(name, [now], lambda g: g[now])
             self.plan.equal_to(now, [name], lambda g: g[name])
-        body = self.formula(f.body)
-        window = Period(0, st - 1) if st > 0 else EMPTY
-
-        def past(et, lt, g):
-            lt = intersect(lt, window)
-            v = g.get(name, _UNKNOWN)
-            if v is _UNKNOWN:
-                unbound(name)
-                return False if body(et, lt, g) is False else _UNKNOWN
-            if v != et:
-                return False
-            return body(et, lt, g)
-
-        return past
+        self._test(lambda et, lt, g: g[name] == et, (name,))
+        self._within(f.body, Period(0, st - 1) if st > 0 else EMPTY)
 
     def _located(self, f):
         """At, Before and After narrow lt by a window their term names."""
@@ -488,58 +488,38 @@ class _Compiler:
 
         term = f.term
         if type(term) is Var:
-            self._periods_only(term.name)
+            name = term.name
+            self._periods_only(name)
+            self.tests.append((lambda g: type(g[name]) is Period, (name,)))
+            self._within(f.body, window, name)
+            return
+        v = self._const(term.name)
+        if type(v) is Period:
+            self._within(f.body, window(v))
         else:
-            v = self._const(term.name)
-        body = self.formula(f.body)
-        if type(term) is Const:
-            if type(v) is not Period:
-                return _never
-            fixed = window(v)
-            return lambda et, lt, g: body(et, intersect(lt, fixed), g)
-        name, unbound = term.name, self.unbound
-
-        def located(et, lt, g):
-            v = g.get(name, _UNKNOWN)
-            if v is _UNKNOWN:
-                return unbound(name)
-            if type(v) is not Period:
-                return False
-            return body(et, intersect(lt, window(v)), g)
-
-        return located
+            self.tests.append((_never, ()))
+            self.formula(f.body)
 
     def _fills(self, f):
         # the event time must cover the whole window
-        body = self.formula(f.body)
-        return lambda et, lt, g: et == lt and body(et, lt, g)
+        self._test(lambda et, lt, g: et == lt, reads_lt=True)
+        self.formula(f.body)
 
     def _ntense(self, f):
         full = self.m.timeline.full()
         if f.var is None:
-            now = Period(self.st, self.st)
-            body = self._at_event_time(now, f.body)
-            return lambda et, lt, g: body(now, full, g)
-        name, unbound = f.var.name, self.unbound
+            self._under(f.body, Period(self.st, self.st), full)
+            return
+        name = f.var.name
         self._periods_only(name)
-        body = self._at_event_time(name, f.body)
-
-        def ntense(et, lt, g):
-            v = g.get(name, _UNKNOWN)
-            if v is _UNKNOWN:
-                return unbound(name)
-            if type(v) is not Period:
-                return False
-            return body(v, full, g)
-
-        return ntense
+        self.tests.append((lambda g: type(g[name]) is Period, (name,)))
+        self._under(f.body, name, full)
 
     def _for(self, f):
         part = self.m.cparts.get(f.cpart)
         if part is None:
             raise UnknownPartitioning(
                 f"unknown complete partitioning {f.cpart}")
-        body = self.formula(f.body)
         # qty consecutive blocks must span et exactly: the last point of
         # the span that starts at each block
         spans = {}
@@ -555,25 +535,17 @@ class _Compiler:
         self._event_times(lambda index: [
             i for lo, hi in spans.items()
             for i in index.period_positions(lo, lo, hi, hi)])
-        return lambda et, lt, g: spans.get(et.lo) == et.hi and body(et, lt, g)
+        self._test(lambda et, lt, g: spans.get(et.lo) == et.hi)
+        self.formula(f.body)
 
     def _perf(self, f):
         # the body holds at an earlier event time named by the variable
-        name, unbound, full = f.var.name, self.unbound, self.m.timeline.full()
+        name = f.var.name
         self._periods_only(name)
-        body = self._at_event_time(name, f.body)
-
-        def perf(et, lt, g):
-            if not subper(et, lt):
-                return False
-            v = g.get(name, _UNKNOWN)
-            if v is _UNKNOWN:
-                return unbound(name)
-            if type(v) is not Period or not v.hi < et.lo:
-                return False
-            return body(v, full, g)
-
-        return perf
+        self._test(_inside, reads_lt=True)
+        self._test(lambda et, lt, g: type(v := g[name]) is Period
+                   and v.hi < et.lo, (name,))
+        self._under(f.body, name, self.m.timeline.full())
 
 
 _FORMULAS = {
@@ -594,8 +566,11 @@ _FORMULAS = {
 
 
 def eval_top_at(m: TopModel, idx: EvalIndex, g: Assignment, f) -> bool:
-    """Truth of f at a fixed index under a full assignment of its variables."""
-    return _Compiler(m, idx.st, strict=True).formula(f)(idx.et, idx.lt, g)
+    """Truth of f at a fixed index under a full assignment of its variables:
+    its tests, run in order until one fails."""
+    compiler = _Compiler(m, idx.st, idx.et, idx.lt)
+    compiler.formula(f)
+    return all(evaluate(test, g) for test, _ in compiler.tests)
 
 
 def denot_top_witness(m: TopModel, st: int, f):
@@ -604,30 +579,21 @@ def denot_top_witness(m: TopModel, st: int, f):
     The search is exhaustive over all event times (ordered by (lo, hi)) and
     all assignments of the formula's variables into the object domain
     (atoms first, then periods).  The event time is the outermost level of
-    the search, and the formula is evaluated from the root at every node,
-    so branches are skipped only when a partial assignment already forces
-    the formula false, or when a value fails a candidate filter that every
-    satisfying assignment passes; the witness is exactly the one plain
-    nested enumeration would find first.  The filters narrow event times
-    too (literals, Culm, Pres and For), and tie a Past variable to its
-    event time; a level with no candidate ends the search at once.
+    the search, then the variables in first-occurrence order.  Each test of
+    the formula runs as soon as its scope is bound, so a branch is cut by
+    the first test it fails, or when a value fails a candidate filter that
+    every satisfying assignment passes; the witness is exactly the one
+    plain nested enumeration would find first.  The filters narrow event
+    times too (literals, Culm, Pres and For), and tie a Past variable to
+    its event time; a level with no candidate ends the search at once.
     """
-    compiler = _Compiler(m, st, strict=False)
-    c = compiler.formula(f)
+    compiler = _Compiler(m, st, _EVENT_TIME, m.timeline.full())
+    compiler.formula(f)
     plan = compiler.plan
     plan.restrict(_EVENT_TIME, plan.index.periods)
-    full = m.timeline.full()
-
-    def holds(g):
-        # unknown keeps the branch open; True reads every variable, so it
-        # comes only once all are bound
-        return c(g[_EVENT_TIME], full, g) is not False
-
-    # the formula runs after each binding; naming only the name just bound
-    # gives the order and levels that naming every name bound so far would,
-    # without a list per level that grows with the number of names
-    order = [_EVENT_TIME] + free_vars_ordered(f)
-    found = plan.search([(holds, (name,)) for name in order])
+    # a leading test that always passes fixes the binding order
+    order = (_EVENT_TIME, *free_vars_ordered(f))
+    found = plan.search([(_always, order)] + compiler.tests)
     if found is None:
         return None
     et = found.pop(_EVENT_TIME)

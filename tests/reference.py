@@ -29,7 +29,8 @@ from chronos.core import (
     intersect,
     subper,
 )
-from chronos.lexer import ArityError, ParseError, Token
+from chronos.lexer import ArityError, ParseError
+from tokens import Token, tokenize as package_tokenize
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -108,7 +109,7 @@ def _is_ident_char(ch: str) -> bool:
 
 class TokenStream:
     def __init__(self, text: str):
-        self.tokens = lexer.tokenize(text)
+        self.tokens = package_tokenize(text)
         self.pos = 0
 
     def peek(self) -> Token:
@@ -507,7 +508,7 @@ def eval_point(m, st, g, e):
         v = eval_point(m, st, g, e.point)
         if v is UNDEFINED:
             return UNDEFINED
-        return m.timeline.next(v)
+        return v + 1 if v < m.timeline.t_last else UNDEFINED
     raise TypeError(f"not a point expression: {e!r}")
 
 
@@ -600,44 +601,27 @@ def eval_bot(m, st, g, f) -> bool:
 # ---------------------------------------------------------------------------
 # TOP
 
-UNKNOWN = object()  # partial-assignment result: truth not yet determined
-
 _NO_PERIODS = frozenset()
 
 
-def _lookup(g, name, strict):
+def _lookup(g, name):
     try:
         return g[name]
     except KeyError:
-        if strict:
-            raise UnboundVariable(name) from None
-        return UNKNOWN
+        raise UnboundVariable(name) from None
 
 
-def _denote(m, g, term, strict):
+def _denote(m, g, term):
     if type(term) is Const:
         try:
             return m.consts[term.name]
         except KeyError:
             raise UnknownConstant(term.name) from None
-    return _lookup(g, term.name, strict)
+    return _lookup(g, term.name)
 
 
-def _denote_args(m, g, args, strict):
-    vals = []
-    unknown = False
-    for a in args:
-        v = _denote(m, g, a, strict)
-        if v is UNKNOWN:
-            unknown = True
-        vals.append(v)
-    return (None if unknown else tuple(vals))
-
-
-def eval_top(m, st, et, lt, g, f, strict):
-    """One clause per operator.  With strict=False an unbound variable makes
-    the result UNKNOWN instead of an error; False is only returned when the
-    formula is false under every extension of g."""
+def eval_top(m, st, et, lt, g, f):
+    """One clause per operator, under a full assignment of f's variables."""
     t = type(f)
 
     if t is top.Literal:
@@ -647,49 +631,34 @@ def eval_top(m, st, et, lt, g, f, strict):
         # true iff et fits the window and some maximal period covers it
         if not subper(et, lt):
             return False
-        vals = _denote_args(m, g, f.args, strict)
-        if vals is None:
-            return UNKNOWN
+        vals = tuple(_denote(m, g, a) for a in f.args)
         ps = ext.get(vals, _NO_PERIODS)
         return any(subper(et, p) for p in ps)
 
     if t is top.And:
-        ra = eval_top(m, st, et, lt, g, f.left, strict)
-        if ra is False:
-            return False
-        rb = eval_top(m, st, et, lt, g, f.right, strict)
-        if rb is False:
-            return False
-        if ra is UNKNOWN or rb is UNKNOWN:
-            return UNKNOWN
-        return True
+        return (eval_top(m, st, et, lt, g, f.left)
+                and eval_top(m, st, et, lt, g, f.right))
 
     if t is top.Part:
         part = m.partitioning(f.part)
         if part is None:
             raise UnknownPartitioning(f.part)
-        v = _lookup(g, f.var.name, strict)
-        if v is UNKNOWN:
-            return UNKNOWN
+        v = _lookup(g, f.var.name)
         return v in part
 
     if t is top.Pres:
         # st must fall within the event time; lt is not consulted
         if st not in et:
             return False
-        return eval_top(m, st, et, lt, g, f.body, strict)
+        return eval_top(m, st, et, lt, g, f.body)
 
     if t is top.Past:
-        # narrow lt to the part strictly before the speech time
+        # narrow lt to the points before the speech time
         window = Period(0, st - 1) if st > 0 else EMPTY
         lt2 = intersect(lt, window)
-        v = _lookup(g, f.var.name, strict)
-        if v is UNKNOWN:
-            r = eval_top(m, st, et, lt2, g, f.body, strict)
-            return False if r is False else UNKNOWN
-        if v != et:
+        if _lookup(g, f.var.name) != et:
             return False
-        return eval_top(m, st, et, lt2, g, f.body, strict)
+        return eval_top(m, st, et, lt2, g, f.body)
 
     if t is top.Culm:
         lit = f.body
@@ -698,9 +667,7 @@ def eval_top(m, st, et, lt, g, f, strict):
             raise UnknownFunctor(f"{lit.functor}/{len(lit.args)}")
         if not subper(et, lt):
             return False
-        vals = _denote_args(m, g, lit.args, strict)
-        if vals is None:
-            return UNKNOWN
+        vals = tuple(_denote(m, g, a) for a in lit.args)
         if not m.culm_flag(lit.functor, len(lit.args), vals):
             return False
         ps = ext.get(vals, _NO_PERIODS)
@@ -711,9 +678,7 @@ def eval_top(m, st, et, lt, g, f, strict):
         return et == hull
 
     if t in (top.At, top.Before, top.After):
-        v = _denote(m, g, f.term, strict)
-        if v is UNKNOWN:
-            return UNKNOWN
+        v = _denote(m, g, f.term)
         if not isinstance(v, Period):
             return False
         if t is top.At:
@@ -723,24 +688,22 @@ def eval_top(m, st, et, lt, g, f, strict):
         else:
             last = m.timeline.t_last
             window = Period(v.hi + 1, last) if v.hi < last else EMPTY
-        return eval_top(m, st, et, intersect(lt, window), g, f.body, strict)
+        return eval_top(m, st, et, intersect(lt, window), g, f.body)
 
     if t is top.Fills:
         # the event time must cover the whole window
         if et != lt:
             return False
-        return eval_top(m, st, et, lt, g, f.body, strict)
+        return eval_top(m, st, et, lt, g, f.body)
 
     if t is top.Ntense:
         full = m.timeline.full()
         if f.var is None:
-            return eval_top(m, st, Period(st, st), full, g, f.body, strict)
-        v = _lookup(g, f.var.name, strict)
-        if v is UNKNOWN:
-            return UNKNOWN
+            return eval_top(m, st, Period(st, st), full, g, f.body)
+        v = _lookup(g, f.var.name)
         if not isinstance(v, Period):
             return False
-        return eval_top(m, st, v, full, g, f.body, strict)
+        return eval_top(m, st, v, full, g, f.body)
 
     if t is top.For:
         part = m.cparts.get(f.cpart)
@@ -758,20 +721,18 @@ def eval_top(m, st, et, lt, g, f, strict):
                 return False
         if p.hi != et.hi:
             return False
-        return eval_top(m, st, et, lt, g, f.body, strict)
+        return eval_top(m, st, et, lt, g, f.body)
 
     if t is top.Perf:
         # the body holds at an earlier event time named by the variable
         if not subper(et, lt):
             return False
-        v = _lookup(g, f.var.name, strict)
-        if v is UNKNOWN:
-            return UNKNOWN
+        v = _lookup(g, f.var.name)
         if not isinstance(v, Period):
             return False
         if not v.hi < et.lo:
             return False
-        return eval_top(m, st, v, m.timeline.full(), g, f.body, strict)
+        return eval_top(m, st, v, m.timeline.full(), g, f.body)
 
     raise TypeError(f"not a TOP formula: {f!r}")
 

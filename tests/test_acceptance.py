@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is also part of the default pytest run.
 """
-import itertools
 import random
 import time
 
@@ -85,16 +84,24 @@ def _homogeneity_violations(m, st):
             (top.Literal(functor, var_args), [{"v": o} for o in m.objects()])
         )
         for lit, assignments in literals:
-            # compiled once, as eval_top_at compiles it, then called
-            c = top._Compiler(m, st, strict=True).formula(lit)
-            for g in assignments:
-                for et, lt in itertools.product(periods, periods):
-                    if not c(et, lt, g):
-                        continue
-                    for sub in periods:
-                        if sub.lo >= et.lo and sub.hi <= et.hi:
-                            if not c(sub, lt, g):
-                                violations += 1
+            for lt in periods:
+                # compiled once per window, as a search compiles it, then
+                # run with the event time in g
+                compiler = top._Compiler(m, st, top._EVENT_TIME, lt)
+                compiler.formula(lit)
+
+                def holds(et, g):
+                    g = {**g, top._EVENT_TIME: et}
+                    return all(test(g) for test, _ in compiler.tests)
+
+                for g in assignments:
+                    for et in periods:
+                        if not holds(et, g):
+                            continue
+                        for sub in periods:
+                            if sub.lo >= et.lo and sub.hi <= et.hi:
+                                if not holds(sub, g):
+                                    violations += 1
     return violations
 
 

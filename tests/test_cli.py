@@ -200,14 +200,17 @@ def test_long_top_conjunctions_parse_evaluate_and_translate(tmp_path, capsys):
 
 
 def test_searches_bind_many_distinct_variables(capsys):
-    # one search level per variable; 1,200 levels are past the recursion limit
+    # one search level per variable; 1,200 levels are past the recursion
+    # limit, and each TOP test runs once, at the level of its variable
     names = [f"?x{i}" for i in range(1200)]
     bot_text = " & ".join(f"part(fivepm, {v})" for v in names)
-    top_text = " & ".join(f"Part[fivepm, {v}]" for v in names)
     assert main(["eval", M0, "bot", bot_text]) == 0
     assert capsys.readouterr().out == "true\n"
-    assert main(["eval", M0, "top", top_text]) == 0
-    assert capsys.readouterr().out == "true\n"
+    names = [f"?x{i}" for i in range(5000)]
+    top_text = " & ".join(f"Part[fivepm, {v}]" for v in names)
+    assert main(["eval", M0, "top", top_text, "--trace"]) == 0
+    witness = " ".join(f"{v}=[3,3]" for v in sorted(names))
+    assert capsys.readouterr().out == f"true\nwitness {witness} et=[0,0]\n"
 
 
 def test_model_files_declare_non_ascii_names(tmp_path, capsys):

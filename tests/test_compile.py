@@ -22,22 +22,20 @@ from chronos.core import (
     Period,
     Timeline,
     derive_bot_model,
+    evaluate,
 )
 from bot_formulas import gen_bot_formula
 from chronos.equiv import GenParams, gen_case
+from chronos.top import EvalIndex
 from chronos.translate import translate
 
 
 def _outcome(run):
-    """What a call returns, or the type of what it raises; the two
-    evaluators' 'unknown' sentinels read alike."""
+    """What a call returns, or the type of what it raises."""
     try:
-        value = run()
+        return run()
     except Exception as e:  # noqa: BLE001 - the type is what is compared
         return type(e)
-    if value is top._UNKNOWN or value is reference.UNKNOWN:
-        return "unknown"
-    return value
 
 
 def _raised(run):
@@ -160,25 +158,39 @@ def test_folded_constants_at_the_timeline_edges():
                 lambda: reference.eval_bot(m, st, {}, f)), (text, st)
 
 
-def _top_outcomes(m, st, f, g, strict, periods, windows):
-    """The compiled formula against the reference at every (et, lt); where f
-    names something m lacks, compiling must raise that error."""
+def _compiled_top(m, st, lt, f):
+    """f's tests, compiled once for a search with window lt, as a function
+    of (et, g): they run in order under g and the event time."""
+    compiler = top._Compiler(m, st, top._EVENT_TIME, lt)
+    compiler.formula(f)
+
+    def holds(et, g):
+        g = {**g, top._EVENT_TIME: et}
+        return all(evaluate(test, g) for test, _ in compiler.tests)
+
+    return holds
+
+
+def _top_outcomes(m, st, f, g, periods, windows):
+    """The compiled formula against the reference at every (et, lt), under
+    a full or partial assignment; where f names something m lacks,
+    compiling must raise that error."""
     error = reference.first_unknown(m, f)
     if error is not None:
-        assert _raised(lambda: top._Compiler(m, st, strict).formula(f)) is error
+        assert _raised(lambda: _compiled_top(m, st, EMPTY, f)) is error
         return
-    compiled = top._Compiler(m, st, strict).formula(f)
-    for et in periods:
-        for lt in windows:
-            got = _outcome(lambda: compiled(et, lt, g))
-            want = _outcome(
-                lambda: reference.eval_top(m, st, et, lt, g, f, strict))
-            assert got == want, (top.print_top(f), st, et, lt, g, strict)
+    for lt in windows:
+        compiled = _compiled_top(m, st, lt, f)
+        for et in periods:
+            got = _outcome(lambda: compiled(et, g))
+            want = _outcome(lambda: reference.eval_top(m, st, et, lt, g, f))
+            assert got == want, (top.print_top(f), st, et, lt, g)
 
 
 def test_top_matches_reference_at_every_index():
-    """Generated cases at every (et, lt), strict and not, under full and
-    partial assignments, also against another case's model."""
+    """Generated cases at every (et, lt), under full and partial
+    assignments, also against another case's model; eval_top_at, which
+    compiles for a fixed event time, at one drawn index each."""
     params = GenParams(timeline_size=6, seed=3)
     cases = [gen_case(params, i) for i in range(81)]
     # how many formulas compile on the next case's model
@@ -196,8 +208,13 @@ def test_top_matches_reference_at_every_index():
                 full = {name: rng.choice(objects) for name in names}
                 partial = {n: v for n, v in full.items() if rng.random() < 0.5}
                 for g in (full, partial):
-                    for strict in (True, False):
-                        _top_outcomes(model, st, f, g, strict, periods, windows)
+                    _top_outcomes(model, st, f, g, periods, windows)
+                    idx = EvalIndex(st, rng.choice(periods), rng.choice(windows))
+                    got = _outcome(lambda: top.eval_top_at(model, idx, g, f))
+                    want = reference.first_unknown(model, f) or _outcome(
+                        lambda: reference.eval_top(
+                            model, st, idx.et, idx.lt, g, f))
+                    assert got == want, (top.print_top(f), idx, g)
 
 
 def test_top_folded_windows_match_reference(m0):
@@ -230,5 +247,4 @@ def test_top_folded_windows_match_reference(m0):
                             dict.fromkeys(names, "tank5")]
         for st in (0, 5, m.timeline.t_last):
             for g in assignments:
-                for strict in (True, False):
-                    _top_outcomes(m, st, f, g, strict, periods, windows)
+                _top_outcomes(m, st, f, g, periods, windows)

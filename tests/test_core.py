@@ -8,7 +8,6 @@ from chronos.core import (
     COMPLETE,
     EMPTY,
     GAPPY,
-    UNDEFINED,
     CandidatePlan,
     EtaMapping,
     FunctorCollision,
@@ -73,14 +72,6 @@ def test_subper_partial_order_exhaustive():
     for a, b, c in itertools.product(periods, repeat=3):
         if subper(a, b) and subper(b, c):
             assert subper(a, c)
-
-
-def test_next_prev_bounded():
-    tl = Timeline(10)
-    assert tl.next(3) == 4
-    assert tl.next(9) is UNDEFINED
-    assert tl.prev(0) is UNDEFINED
-    assert tl.prev(4) == 3
 
 
 def test_timeline_periods_order():

@@ -1,5 +1,6 @@
 """Generators, the TOP/BOT cross-check, campaign determinism, mutation
 sensitivity, and counterexample shrinking."""
+import hashlib
 import random
 
 import pytest
@@ -119,6 +120,28 @@ def test_campaign_clean_on_more_seeds(seed):
     """Seed 0 holds the pinned known gap and seed 4 is kept for re-checking
     performance claims; the others must find no disagreement."""
     assert run_campaign(GenParams(seed=seed), 1000).ok
+
+
+#: sha1 over repr((TOP witness, BOT witness)) of cases 0-999, per seed;
+#: each witness is the first in the documented enumeration order, so a
+#: change to either search that moves one changes its digest
+WITNESS_DIGESTS = {
+    0: "bea3b42c4924b508b3b5040fc2ef22b5ed1afae5",
+    42: "d27d3b24f07174b6ed5414243fe169ac0bbeb757",
+}
+
+
+def test_witnesses_are_pinned_across_whole_seeds():
+    for seed, digest in WITNESS_DIGESTS.items():
+        params = GenParams(seed=seed)
+        h = hashlib.sha1()
+        for i in range(1000):
+            m, st, f = gen_case(params, i)
+            top_witness = top.denot_top_witness(m, st, f)
+            bot_witness = bot.denot_bot_witness(
+                derive_bot_model(m), st, translate(f))
+            h.update(repr((top_witness, bot_witness)).encode())
+        assert h.hexdigest() == digest, seed
 
 
 def test_gen_case_deterministic():

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import reference
-from chronos.lexer import EOF, IDENT, INT, VAR, ParseError, Token, tokenize
+from chronos.lexer import EOF, IDENT, INT, VAR, ParseError
+from tokens import Token, tokenize
 
 #: every code point outside the surrogates
 ALL = "".join(chr(c) for c in range(sys.maxunicode + 1)

@@ -2,7 +2,8 @@
 import pytest
 
 from chronos.core import Period
-from chronos.lexer import EOF, IDENT, ParseError, is_identifier, tokenize
+from chronos.lexer import EOF, IDENT, ParseError, is_identifier
+from tokens import tokenize
 from chronos.modelfile import (
     ModelFileError,
     ModelValidationError,

@@ -15,7 +15,8 @@ from chronos import bot, top
 from chronos.core import Var
 from bot_formulas import gen_bot_formula
 from chronos.equiv import GenParams, check_equivalence, gen_case
-from chronos.lexer import EOF, VAR, ParseError, tokenize
+from chronos.lexer import EOF, VAR, ParseError
+from tokens import tokenize
 from chronos.translate import alpha_equivalent, translate
 
 DATA = Path(__file__).parent / "data"

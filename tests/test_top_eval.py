@@ -1,6 +1,7 @@
 """TOP evaluation: the denotation clauses at a fixed index and the
 existentially quantified top-level denotation."""
 import itertools
+import random
 
 import pytest
 
@@ -235,45 +236,50 @@ def test_absent_bindings_do_not_matter(m0):
 def _naive_top_witness(m, st, f):
     """Plain nested enumeration: event times by (lo, hi), then the variables
     in first-occurrence order, each over the whole object domain.  The
-    formula is compiled once, as eval_top_at compiles it, and the closure
-    is called at every index and assignment."""
-    c = top._Compiler(m, st, strict=True).formula(f)
+    formula is compiled once, as the search compiles it, and all its tests
+    run, in order, at every event time and assignment."""
+    compiler = top._Compiler(m, st, top._EVENT_TIME, m.timeline.full())
+    compiler.formula(f)
+    tests = [test for test, _ in compiler.tests]
     names = top.free_vars_ordered(f)
     domain = list(m.objects())
-    full = m.timeline.full()
     for et in m.timeline.periods():
         for combo in itertools.product(domain, repeat=len(names)):
             g = dict(zip(names, combo))
-            if c(et, full, g):
+            g[top._EVENT_TIME] = et
+            if all(test(g) for test in tests):
+                del g[top._EVENT_TIME]
                 return g, et
     return None
+
+
+M0_FORMULAS = [
+    "Past[?e, empty(tank5)]",
+    "At[d_jan, Past[?e, empty(tank5)]]",
+    "building(?x, bridge2)",
+    "Part[minute, ?m] & At[?m, empty(tank5)]",
+    "Part[fivepm, ?m] & After[?m, Past[?e, empty(tank5)]]",
+    "Culm[inspecting(?w, ba737)]",
+    "Ntense[?n, inspecting(jadams, ?a)]",
+    "Perf[?f, building(housecorp, ?b)]",
+    "Past[?e, inspecting(?e, ba737)]",  # false: ?e is a period and an atom
+    "Before[?b, building(?b, bridge2)]",  # false for the same reason
+    # each hands the event time on, or filters it, at a nested level
+    "Perf[?f, Past[?e, empty(tank5)]]",
+    "Ntense[now, Past[?e, empty(tank5)]]",
+    "Ntense[?n, Perf[?f, empty(tank5)]]",
+    "For[minute, 2, empty(tank5)]",
+    "Pres[Culm[building(housecorp, ?b)]]",
+    "Past[?e, Pres[empty(tank5)]]",
+    "Ntense[now, Past[?e, Ntense[now, empty(tank5)]]]",  # true at st 2
+    "Part[fivepm, ?e] & Ntense[?n, Past[?e, empty(tank5)]]",  # ?e first
+]
 
 
 def test_denot_matches_naive_enumeration(m0):
     """The pruned search equals plain enumeration, witness included."""
     m = m0.model
-    formulas = [
-        "Past[?e, empty(tank5)]",
-        "At[d_jan, Past[?e, empty(tank5)]]",
-        "building(?x, bridge2)",
-        "Part[minute, ?m] & At[?m, empty(tank5)]",
-        "Part[fivepm, ?m] & After[?m, Past[?e, empty(tank5)]]",
-        "Culm[inspecting(?w, ba737)]",
-        "Ntense[?n, inspecting(jadams, ?a)]",
-        "Perf[?f, building(housecorp, ?b)]",
-        "Past[?e, inspecting(?e, ba737)]",  # false: ?e is a period and an atom
-        "Before[?b, building(?b, bridge2)]",  # false for the same reason
-        # each hands the event time on, or filters it, at a nested level
-        "Perf[?f, Past[?e, empty(tank5)]]",
-        "Ntense[now, Past[?e, empty(tank5)]]",
-        "Ntense[?n, Perf[?f, empty(tank5)]]",
-        "For[minute, 2, empty(tank5)]",
-        "Pres[Culm[building(housecorp, ?b)]]",
-        "Past[?e, Pres[empty(tank5)]]",
-        "Ntense[now, Past[?e, Ntense[now, empty(tank5)]]]",  # true at st 2
-        "Part[fivepm, ?e] & Ntense[?n, Past[?e, empty(tank5)]]",  # ?e first
-    ]
-    for text in formulas:
+    for text in M0_FORMULAS:
         f = parse_top(text)
         for st in (2, 7):
             assert denot_top_witness(m, st, f) == _naive_top_witness(m, st, f), (
@@ -284,11 +290,11 @@ def _naive_bot_witness(m, st, f):
     """Plain nested enumeration, each conjunct compiled once, as eval_bot
     compiles it, and called for every assignment."""
     compiler = bot._Compiler(m, st)
-    tests = [compiler.conjunct(atom)[0] for atom in bot.flatten(f)]
+    tests = [compiler.conjunct(atom) for atom in bot.flatten(f)]
     names = bot.free_vars_ordered(f)
     for combo in itertools.product(list(m.objects()), repeat=len(names)):
         g = dict(zip(names, combo))
-        if all(bot._evaluate(test, g) for test in tests):
+        if all(test(g) for test, _ in tests):
             return g
     return None
 
@@ -327,6 +333,54 @@ def test_searches_match_naive_enumeration_on_longer_timelines():
     """The same at 6 points, where the event-time filters leave more out."""
     checked = _check_generated_cases(timeline_size=6)
     assert checked["top"] >= 150 and checked["bot"] >= 300, checked
+
+
+def _outcome(run):
+    """What a call returns, or the type of what it raises."""
+    try:
+        return run()
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        return type(e)
+
+
+def _check_scopes(tests, g):
+    """Each test reads only its scope: cut down to the scope, g gives what
+    the whole of g gives, and no name is missing.  Returns the count."""
+    for test, scope in tests:
+        cut = {name: g[name] for name in scope}
+        got = _outcome(lambda: test(cut))
+        assert got is not KeyError and got == _outcome(lambda: test(g)), scope
+    return len(tests)
+
+
+def test_every_test_reads_only_its_scope(m0):
+    """Both compilers' (test, scope) pairs, on generated cases and on the
+    m0 formulas above, under drawn assignments: of any objects, and of
+    periods only, as located, Perf and Ntense variables are in a search.
+    TOP compiles for a search and for a fixed index."""
+    cases = [gen_case(GenParams(seed=42), i) for i in range(300)]
+    cases += [(m0.model, st, parse_top(text))
+              for text in M0_FORMULAS for st in (2, 7)]
+    counted = {"top": 0, "bot": 0}
+    for i, (m, st, f) in enumerate(cases):
+        rng = random.Random(f"scopes/{i}")
+        periods = m.timeline.periods()
+        index = (rng.choice(periods), rng.choice(periods + [EMPTY]))
+        for et, lt in ((top._EVENT_TIME, m.timeline.full()), index):
+            compiler = top._Compiler(m, st, et, lt)
+            compiler.formula(f)
+            for values in (list(m.objects()), periods):
+                g = {n: rng.choice(values) for n in top.free_vars_ordered(f)}
+                g[top._EVENT_TIME] = rng.choice(periods)
+                counted["top"] += _check_scopes(compiler.tests, g)
+        translated = translate(f)
+        derived = derive_bot_model(m)
+        compiler = bot._Compiler(derived, st)
+        tests = [compiler.conjunct(atom) for atom in bot.flatten(translated)]
+        for values in (list(derived.objects()), periods):
+            g = {n: rng.choice(values) for n in bot.free_vars_ordered(translated)}
+            counted["bot"] += _check_scopes(tests, g)
+    assert counted["top"] >= 3500 and counted["bot"] >= 2500, counted
 
 
 def test_unknown_names_raise_when_compiled(m0):
