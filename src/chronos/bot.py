@@ -370,20 +370,17 @@ def _closure(x):
     return x
 
 
-def _evaluate(x, g):
-    """Run a compiled subexpression, folded or not."""
-    return x.value if type(x) is _Fixed else evaluate(x, g)
-
-
 class _Compiler:
     """Compiles BOT expressions against one model and speech time.
 
     One walk over a conjunct gives its test and its variables in
     first-occurrence order, and narrows `plan` by the candidate filters it
-    implies.  A part that reads no variable is folded to its value, unless
-    the clauses would skip it.  A functor, constant or partitioning the
-    model lacks raises UnknownFunctor, UnknownConstant or
-    UnknownPartitioning where it is looked up, in reading order.
+    implies.  A constant or anchor compiles to its value, every other part
+    to its closure, and the dispatchers fold in one place (`_fold`): a part
+    whose compilation met no variable becomes its value.  A functor,
+    constant or partitioning the model lacks raises UnknownFunctor,
+    UnknownConstant or UnknownPartitioning where it is looked up, in
+    reading order.
     """
 
     def __init__(self, m: BotModel, st: int):
@@ -396,27 +393,41 @@ class _Compiler:
     def conjunct(self, f):
         """(test g -> bool, the conjunct's variables in first-occurrence order)."""
         start = len(self._seen)
+        test = _closure(self.atom(f))
+        return test, list(dict.fromkeys(self._seen[start:]))
+
+    def atom(self, f):
+        start = len(self._seen)
         compile = _ATOMS.get(type(f))
         if compile is None:
             raise TypeError(f"not a BOT formula: {f!r}")
-        test = _closure(compile(self, f))
-        return test, list(dict.fromkeys(self._seen[start:]))
+        return self._fold(compile(self, f), start)
 
     def term(self, t):
+        start = len(self._seen)
         compile = _TERMS.get(type(t))
         if compile is None:
             raise TypeError(f"not a BOT term: {t!r}")
-        return compile(self, t)
+        return self._fold(compile(self, t), start)
 
     def point(self, e):
         if type(e) not in _POINT_TYPES:
             raise TypeError(f"not a point expression: {e!r}")
-        return _TERMS[type(e)](self, e)
+        return self.term(e)
 
     def period(self, e):
         if type(e) not in _PERIOD_TYPES:
             raise TypeError(f"not a period expression: {e!r}")
-        return _TERMS[type(e)](self, e)
+        return self.term(e)
+
+    def _fold(self, x, start):
+        """x, a compiled part, as _Fixed of its value when no variable was
+        met since start: the closure is run once, with no assignment.  That
+        cannot raise, as every name was looked up while compiling and the
+        value functions are total on constants."""
+        if len(self._seen) > start or type(x) is _Fixed:
+            return x
+        return _Fixed(x({}))
 
     def _periods_only(self, name):
         self.plan.restrict(name, self.plan.index.periods)
@@ -437,48 +448,37 @@ class _Compiler:
         return _Fixed(0 if t is Beg else self.st if t is Now else self.last)
 
     def _bound(self, e):
-        per = self.period(e.per)
+        per = _closure(self.period(e.per))
         bound = attrgetter("lo" if type(e) is Earliest else "hi")
-        if type(per) is _Fixed:
-            p = per.value
-            return _Fixed(bound(p) if type(p) is Period else UNDEFINED)
         return lambda g: bound(p) if type(p := per(g)) is Period else UNDEFINED
 
     def _succ(self, e):
         last = self.last
-        x = self.point(e.point)
+        x = _closure(self.point(e.point))
 
-        def succ(v):
+        def succ(g):
+            v = x(g)
             return UNDEFINED if v is UNDEFINED or v >= last else v + 1
 
-        if type(x) is _Fixed:
-            return _Fixed(succ(x.value))
-        return lambda g: succ(x(g))
+        return succ
 
     def _interval(self, e):
-        lo, hi = self.point(e.lo), self.point(e.hi)
+        lo, hi = _closure(self.point(e.lo)), _closure(self.point(e.hi))
         lo_shift = 0 if e.lo_closed else 1
         hi_shift = 0 if e.hi_closed else 1
 
-        def span(a, b):
+        def span(g):
+            a, b = lo(g), hi(g)
             if a is UNDEFINED or b is UNDEFINED:
                 return UNDEFINED
             a += lo_shift
             b -= hi_shift
             return Period(a, b) if a <= b else EMPTY
 
-        if type(lo) is _Fixed and type(hi) is _Fixed:
-            return _Fixed(span(lo.value, hi.value))
-        lo, hi = _closure(lo), _closure(hi)
-        return lambda g: span(lo(g), hi(g))
+        return span
 
     def _intersect(self, e):
-        a, b = self.period(e.left), self.period(e.right)
-        if type(a) is _Fixed and a.value is UNDEFINED:
-            return a  # the right operand is never evaluated
-        if type(a) is _Fixed and type(b) is _Fixed:
-            return b if b.value is UNDEFINED else _Fixed(intersect(a.value, b.value))
-        a, b = _closure(a), _closure(b)
+        a, b = _closure(self.period(e.left)), _closure(self.period(e.right))
 
         def meet(g):
             x = a(g)
@@ -492,10 +492,7 @@ class _Compiler:
     def _termref(self, e):
         if type(e.term) is Var:
             self._periods_only(e.term.name)
-        x = self.term(e.term)
-        if type(x) is _Fixed:
-            v = x.value
-            return _Fixed(v if type(v) is Period else UNDEFINED)
+        x = _closure(self.term(e.term))
         return lambda g: v if type(v := x(g)) is Period else UNDEFINED
 
     # atoms
@@ -518,8 +515,6 @@ class _Compiler:
             pattern = tuple(
                 a if type(a) is Var else x.value for a, x in zip(f.args, args))
             slots = [(k, a.name) for k, a in enumerate(f.args) if type(a) is Var]
-            if not slots:
-                return _Fixed(pattern in tuples)
 
             def literal(g):
                 vals = list(pattern)
@@ -542,15 +537,10 @@ class _Compiler:
         if type(e) is TermRef and type(e.term) is Var:
             self._periods_only(e.term.name)
             return self._var(e.term)
-        return self.period(e)
+        return _closure(self.period(e))
 
     def _subper(self, f):
         a, b = self._operand(f.left), self._operand(f.right)
-        if type(a) is _Fixed and (type(a.value) is not Period or type(b) is _Fixed):
-            x, y = a.value, b.value if type(b) is _Fixed else None
-            return _Fixed(type(x) is Period and type(y) is Period
-                          and y.lo <= x.lo and x.hi <= y.hi)
-        a, b = _closure(a), _closure(b)
 
         def subper(g):
             x = a(g)
@@ -563,19 +553,14 @@ class _Compiler:
 
     def _eq(self, f):
         start = len(self._seen)
-        a = self.term(f.left)
+        a = _closure(self.term(f.left))
         middle = len(self._seen)
-        b = self.term(f.right)
+        b = _closure(self.term(f.right))
         sides = ((f.left, b, self._seen[middle:]),
                  (f.right, a, self._seen[start:middle]))
         for v, other, needs in sides:
             if type(v) is Var:
-                self.plan.equal_to(v.name, needs, _closure(other))
-        if type(a) is _Fixed and a.value is UNDEFINED:
-            return _Fixed(False)
-        if type(a) is _Fixed and type(b) is _Fixed:
-            return _Fixed(b.value is not UNDEFINED and a.value == b.value)
-        a, b = _closure(a), _closure(b)
+                self.plan.equal_to(v.name, needs, other)
 
         def eq(g):
             x = a(g)
@@ -589,31 +574,22 @@ class _Compiler:
     def _is_period(self, f):
         if type(f.term) is Var:
             self._periods_only(f.term.name)
-        x = self.term(f.term)
-        if type(x) is _Fixed:
-            return _Fixed(type(x.value) is Period)
+        x = _closure(self.term(f.term))
         return lambda g: type(x(g)) is Period
 
     def _in_part(self, f):
         part = self.m.partitioning(f.part)
         if part is None:
             raise UnknownPartitioning(f"unknown partitioning {f.part}")
-        x = self.term(f.term)
+        x = _closure(self.term(f.term))
         if type(f.term) is Var:
             self.plan.restrict(
                 f.term.name, self.plan.index.positions(part.blocks))
         blocks = frozenset(part.blocks)
-        if type(x) is _Fixed:
-            return _Fixed(type(x.value) is Period and x.value in blocks)
         return lambda g: type(v := x(g)) is Period and v in blocks
 
     def _prec(self, f):
-        a, b = self.point(f.left), self.point(f.right)
-        if type(a) is _Fixed and a.value is UNDEFINED:
-            return _Fixed(False)
-        if type(a) is _Fixed and type(b) is _Fixed:
-            return _Fixed(b.value is not UNDEFINED and a.value < b.value)
-        a, b = _closure(a), _closure(b)
+        a, b = _closure(self.point(f.left)), _closure(self.point(f.right))
 
         def prec(g):
             x = a(g)
@@ -651,12 +627,12 @@ _ATOMS = {
 
 def eval_point(m: BotModel, st: int, g: Assignment, e):
     """Time-point denoted by a point expression, or UNDEFINED."""
-    return _evaluate(_Compiler(m, st).point(e), g)
+    return evaluate(_closure(_Compiler(m, st).point(e)), g)
 
 
 def eval_period(m: BotModel, st: int, g: Assignment, e):
     """Point set denoted by a period expression: Period, EMPTY, or UNDEFINED."""
-    return _evaluate(_Compiler(m, st).period(e), g)
+    return evaluate(_closure(_Compiler(m, st).period(e)), g)
 
 
 def eval_bot(m: BotModel, st: int, g: Assignment, f) -> bool:

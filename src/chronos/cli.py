@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import bot, top
-from .core import EvalError, FunctorCollision, Period, derive_bot_model
+from .core import EvalError, FunctorCollision, Period, derive_bot_model, fields
 from .equiv import GenParams, run_campaign
 from .lexer import ParseError
 from .modelfile import ModelFileError, load_model
@@ -77,16 +77,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    params = GenParams(
-        seed=args.seed,
-        timeline_size=args.timeline_size,
-        atom_count=args.atom_count,
-        pred_count=args.pred_count,
-        max_arity=args.max_arity,
-        max_depth=args.max_depth,
-        max_periods_per_tuple=args.max_periods_per_tuple,
-        max_free_vars=args.max_free_vars,
-    )
+    params = GenParams(**{name: getattr(args, name) for name in fields(GenParams)})
     report = run_campaign(params, args.cases, mutation=args.mutate)
     sys.stdout.write(report.text())
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
@@ -132,16 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=1000)
     p.add_argument("--mutate", choices=list(MUTATIONS))
     defaults = GenParams()
-    p.add_argument("--timeline-size", type=int, default=defaults.timeline_size)
-    p.add_argument("--atom-count", type=int, default=defaults.atom_count)
-    p.add_argument("--pred-count", type=int, default=defaults.pred_count)
-    p.add_argument("--max-arity", type=int, default=defaults.max_arity)
-    p.add_argument("--max-depth", type=int, default=defaults.max_depth)
-    p.add_argument(
-        "--max-periods-per-tuple", type=int,
-        default=defaults.max_periods_per_tuple,
-    )
-    p.add_argument("--max-free-vars", type=int, default=defaults.max_free_vars)
+    for name in fields(GenParams):  # --seed comes first, above
+        if name != "seed":
+            p.add_argument("--" + name.replace("_", "-"), type=int,
+                           default=getattr(defaults, name))
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -12,7 +12,7 @@ share across threads.
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, total_ordering
 from operator import attrgetter
 from typing import Iterator, Union
 
@@ -203,38 +203,28 @@ def replace(record, **changes):
     return type(record)(**{**values, **changes})
 
 
-class _Empty:
-    """The empty set of time-points (a localisation window can be empty)."""
+class _Sentinel:
+    """A value that exists once, held by the module global of its name."""
 
-    _instance = None
+    __slots__ = ("name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name):
+        self.name = name
 
     def __repr__(self):
-        return "Empty"
+        return self.name.capitalize()
+
+    def __reduce__(self):  # pickle and copy give back the global itself
+        return self.name
 
 
-class _Undefined:
-    """Out-of-range point, e.g. the successor of the last time-point."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Undefined"
+#: The empty set of time-points (a localisation window can be empty).
+EMPTY = _Sentinel("EMPTY")
+#: Out-of-range point, e.g. the successor of the last time-point.
+UNDEFINED = _Sentinel("UNDEFINED")
 
 
-EMPTY = _Empty()
-UNDEFINED = _Undefined()
-
-
+@total_ordering
 class Period(Record):
     """Closed integer interval [lo, hi]; non-empty by construction, ordered
     by (lo, hi)."""
@@ -260,21 +250,6 @@ class Period(Record):
             return (self.lo, self.hi) < (other.lo, other.hi)
         return NotImplemented
 
-    def __le__(self, other):
-        if other.__class__ is Period:
-            return (self.lo, self.hi) <= (other.lo, other.hi)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is Period:
-            return (self.lo, self.hi) > (other.lo, other.hi)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is Period:
-            return (self.lo, self.hi) >= (other.lo, other.hi)
-        return NotImplemented
-
     def __contains__(self, t: int) -> bool:
         return self.lo <= t <= self.hi
 
@@ -285,7 +260,7 @@ class Period(Record):
         return f"[{self.lo},{self.hi}]"
 
 
-PointSet = Union[Period, _Empty]
+PointSet = Union[Period, _Sentinel]
 
 #: An object is an atom (its name) or a period; PERIODS is a subset of OBJS.
 Object = Union[str, Period]

@@ -16,7 +16,6 @@ from .core import (
     COMPLETE,
     GAPPY,
     Const,
-    EtaMapping,
     EvalError,
     ObjectDomain,
     Partitioning,
@@ -248,14 +247,12 @@ def gen_formula(params: GenParams, model: TopModel, rng=None):
 
 
 def check_equivalence(
-    m: TopModel, st: int, f, *, eta: EtaMapping | None = None,
-    mutation: str | None = None,
+    m: TopModel, st: int, f, *, mutation: str | None = None
 ) -> Verdict:
     """Compare the TOP denotation of f with the BOT denotation of its
     translation over the derived BOT model."""
-    eta = eta if eta is not None else EtaMapping()
-    translated = translate(f, eta=eta, mutation=mutation)
-    derived = derive_bot_model(m, eta, bot.functors(translated))
+    translated = translate(f, mutation=mutation)
+    derived = derive_bot_model(m, names=bot.functors(translated))
     top_witness = top.denot_top_witness(m, st, f)
     bot_witness = bot.denot_bot_witness(derived, st, translated)
     witness = top_witness if top_witness is not None else bot_witness
@@ -384,18 +381,14 @@ def _period_shrinks(m: TopModel):
                 yield replace(m, consts=new_consts)
 
 
-def shrink_counterexample(
-    m: TopModel, st: int, f, *, eta=None, mutation=None
-):
+def shrink_counterexample(m: TopModel, st: int, f, *, mutation=None):
     """Greedy shrink preserving the disagreement; returns (model, st, formula)."""
 
     def disagrees(m2, st2, f2):
         if validate_model(m2):
             return False
         try:
-            return not check_equivalence(
-                m2, st2, f2, eta=eta, mutation=mutation
-            ).agree
+            return not check_equivalence(m2, st2, f2, mutation=mutation).agree
         except EvalError:  # a step can drop what the formula names
             return False
 
@@ -485,8 +478,7 @@ def gen_case(params: GenParams, index: int):
 
 
 def run_campaign(
-    params: GenParams, cases: int, *, mutation: str | None = None,
-    eta: EtaMapping | None = None,
+    params: GenParams, cases: int, *, mutation: str | None = None
 ) -> CampaignReport:
     """Check `cases` independent seeded cases; disagreements come back shrunk."""
     if cases < 0:
@@ -494,10 +486,10 @@ def run_campaign(
     found = []
     for i in range(cases):
         m, st, f = gen_case(params, i)
-        verdict = check_equivalence(m, st, f, eta=eta, mutation=mutation)
+        verdict = check_equivalence(m, st, f, mutation=mutation)
         if verdict.agree:
             continue
-        sm, sst, sf = shrink_counterexample(m, st, f, eta=eta, mutation=mutation)
+        sm, sst, sf = shrink_counterexample(m, st, f, mutation=mutation)
         found.append(
             Disagreement(
                 case=i,

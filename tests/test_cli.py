@@ -1,7 +1,10 @@
 """Command-line behavior: output, diagnostics, and exit codes."""
 from pathlib import Path
 
-from chronos.cli import main
+from chronos import cli
+from chronos.cli import _build_parser, main
+from chronos.core import fields
+from chronos.equiv import CampaignReport, GenParams
 
 DATA = Path(__file__).parent / "data"
 M0 = str(DATA / "m0.tmodel")
@@ -147,6 +150,28 @@ def test_check_size_flags(capsys):
         "--timeline-size", "5", "--atom-count", "2", "--max-depth", "3",
     ]) == 0
     assert capsys.readouterr().out.strip() == "cases=20 disagreements=0"
+
+
+def test_check_flags_follow_gen_params(monkeypatch):
+    """A flag per generator bound, defaulting to GenParams' default, and
+    each one reaching the campaign."""
+    defaults = vars(_build_parser().parse_args(["check"]))
+    built = []
+
+    def campaign(params, cases, mutation=None):
+        built.append(params)
+        return CampaignReport(params, cases, mutation, ())
+
+    monkeypatch.setattr(cli, "run_campaign", campaign)
+    assert main(["check", "--cases", "0"]) == 0
+    assert built == [GenParams()]
+    for name in fields(GenParams):
+        if name != "seed":
+            assert defaults[name] == getattr(GenParams(), name), name
+            flag = "--" + name.replace("_", "-")
+            assert main(["check", "--cases", "0", flag, "1"]) == 0
+            assert getattr(built[-1], name) == 1, name
+    assert len(built) == len(fields(GenParams))
 
 
 def test_check_rejects_a_negative_case_count(capsys):

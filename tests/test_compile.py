@@ -21,6 +21,7 @@ from chronos.core import (
     Partitioning,
     Period,
     Timeline,
+    Var,
     derive_bot_model,
     evaluate,
 )
@@ -156,6 +157,43 @@ def test_folded_constants_at_the_timeline_edges():
         for st in (0, 3, 5):
             assert _outcome(lambda: bot.eval_bot(m, st, {}, f)) == _outcome(
                 lambda: reference.eval_bot(m, st, {}, f)), (text, st)
+
+
+def _check_folding(m, f):
+    """Each term, and each atom before `conjunct` wraps it, of every
+    conjunct of f that m has all names for compiles to a folded value
+    exactly when it names no variable, and that value is the reference's.
+    Returns how many parts were folded."""
+    folded = 0
+    for atom in bot.flatten(f):
+        if reference.first_unknown(m, atom) is not None:
+            continue
+        for st in _speech_times(m):
+            compiler = bot._Compiler(m, st)
+            parts = [(atom, compiler.atom, reference.eval_bot,
+                      bot._atom_subterms(atom))]
+            parts += [(e, compiler.term, reference.denote_term, bot._subterms(e))
+                      for e in bot._atom_subterms(atom)]
+            for part, compile, value, subterms in parts:
+                fixed = not any(type(s) is Var for s in subterms)
+                x = compile(part)
+                where = (bot.print_bot(atom), part, st)
+                assert (type(x) is bot._Fixed) is fixed, where
+                if fixed:
+                    assert x.value == value(m, st, {}, part), where
+                    folded += 1
+    return folded
+
+
+def test_parts_fold_exactly_when_they_name_no_variable():
+    """The generated formulas and the translations of the tests above."""
+    m, _ = _bot_vocabulary_model()
+    folded = sum(_check_folding(m, gen_bot_formula(
+        random.Random(f"compile-bot/{i}"))) for i in range(300))
+    for i in range(120):
+        m, _, f = gen_case(GenParams(seed=7), i)
+        folded += _check_folding(derive_bot_model(m), translate(f))
+    assert folded >= 1000, folded
 
 
 def _compiled_top(m, st, lt, f):

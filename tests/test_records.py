@@ -17,6 +17,7 @@ from chronos.core import (
     COMPLETE,
     EMPTY,
     GAPPY,
+    UNDEFINED,
     And,
     Const,
     Literal,
@@ -205,6 +206,15 @@ def test_equality_is_class_sensitive_and_hash_agrees(x):
 def test_pickle_and_copy_round_trip(x):
     for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(y) is type(x) and y == x
+
+
+@pytest.mark.parametrize("x, text", [(EMPTY, "Empty"), (UNDEFINED, "Undefined")],
+                         ids=["EMPTY", "UNDEFINED"])
+def test_sentinels_pickle_and_copy_to_themselves(x, text):
+    assert repr(x) == text
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x),
+              copy.deepcopy([x])[0]):
+        assert y is x
 
 
 def test_named_class_sensitive_pairs():
