@@ -32,6 +32,8 @@ from .core import (
     intersect,
     print_chain,
 )
+# the one symbol walk, shared with TOP; BOT keeps its own `functors`
+from .core import free_vars, free_vars_ordered, symbols  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -120,39 +122,7 @@ _PERIOD_TYPES = (Interval, Intersect, TermRef)
 
 
 # ---------------------------------------------------------------------------
-# Variable collection
-
-
-def _subterms(t):
-    """t and every term nested in it, depth first, left to right."""
-    yield t
-    tt = type(t)
-    if tt in (Earliest, Latest):
-        yield from _subterms(t.per)
-    elif tt is Succ:
-        yield from _subterms(t.point)
-    elif tt is Interval:
-        yield from _subterms(t.lo)
-        yield from _subterms(t.hi)
-    elif tt is Intersect:
-        yield from _subterms(t.left)
-        yield from _subterms(t.right)
-    elif tt is TermRef:
-        yield from _subterms(t.term)
-
-
-def _atom_subterms(f):
-    t = type(f)
-    if t is Literal:
-        terms = f.args
-    elif t in (Subper, Eq, Prec):
-        terms = (f.left, f.right)
-    elif t in (IsPeriod, InPart):
-        terms = (f.term,)
-    else:
-        raise TypeError(f"not a BOT atom: {f!r}")
-    for term in terms:
-        yield from _subterms(term)
+# Conjuncts and symbols
 
 
 def flatten(f) -> list:
@@ -167,17 +137,8 @@ def flatten(f) -> list:
     return out
 
 
-def free_vars_ordered(f) -> list:
-    return list(dict.fromkeys(
-        s.name for atom in flatten(f) for s in _atom_subterms(atom)
-        if type(s) is Var))
-
-
-def free_vars(f) -> set:
-    return set(free_vars_ordered(f))
-
-
 def functors(f) -> set:
+    """All predicate functor names; they occur only at atoms."""
     return {a.functor for a in flatten(f) if type(a) is Literal}
 
 

@@ -140,6 +140,9 @@ def main(argv=None) -> int:
             EtaCollision, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:  # the parsers' caps leave the evaluators less room
+        print("error: formula nests too deeply to evaluate", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -137,7 +137,8 @@ class _RecordType(type):
     (positional or keyword, then ``__post_init__`` if defined), ``__eq__``
     (same class and equal fields), ``__hash__`` and ``__repr__``.  A field
     with a default (a value, or a `factory`) comes after those without, and
-    a record class extends no record class that has fields."""
+    a record class extends no record class that has fields.  The class keeps
+    the getter of a record's field values, as a tuple, in ``_values``."""
 
     def __new__(mcs, name, bases, ns):
         if any(getattr(b, "_fields", None) for b in bases):
@@ -150,7 +151,7 @@ class _RecordType(type):
         ns["__slots__"] = names + tuple(ns.get("__slots__", ()))
         cls = super().__new__(mcs, name, bases, ns)
         cls._fields = names
-        key = _key(names)
+        cls._values = key = _key(names)
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
@@ -188,7 +189,7 @@ class Record(metaclass=_RecordType):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):  # pickle and copy rebuild through __init__
-        return type(self), tuple(getattr(self, n) for n in self._fields)
+        return type(self), type(self)._values(self)
 
 
 def fields(record) -> tuple:
@@ -199,7 +200,7 @@ def fields(record) -> tuple:
 def replace(record, **changes):
     """A copy of record with the named fields changed; the copy is built, and
     so checked, like a new record."""
-    values = {name: getattr(record, name) for name in record._fields}
+    values = dict(zip(record._fields, type(record)._values(record)))
     return type(record)(**{**values, **changes})
 
 
@@ -249,12 +250,6 @@ class Period(Record):
         if other.__class__ is Period:
             return (self.lo, self.hi) < (other.lo, other.hi)
         return NotImplemented
-
-    def __contains__(self, t: int) -> bool:
-        return self.lo <= t <= self.hi
-
-    def points(self) -> range:
-        return range(self.lo, self.hi + 1)
 
     def __str__(self):
         return f"[{self.lo},{self.hi}]"
@@ -358,6 +353,39 @@ def print_chain(f, unit) -> str:
     return " & ".join(out)
 
 
+def symbols(f) -> tuple:
+    """(variable names in first-occurrence order, functor names) of a TOP
+    or BOT formula or term, from one walk over every record's field values
+    with an explicit stack: depth first, left to right.  A literal's
+    arguments are the one tuple of records a formula holds."""
+    names, functors, todo = {}, set(), [f]  # names as keys keep their order
+    while todo:
+        x = todo.pop()
+        t = type(x)
+        if t is Var:
+            names[x.name] = None
+        elif t is Literal:
+            functors.add(x.functor)
+            todo += reversed(x.args)
+        elif isinstance(x, Record):
+            todo += reversed(t._values(x))
+    return list(names), functors
+
+
+def free_vars_ordered(f) -> list:
+    """Variable names in first-occurrence order; all are free."""
+    return symbols(f)[0]
+
+
+def free_vars(f) -> set:
+    return set(symbols(f)[0])
+
+
+def functors(f) -> set:
+    """All predicate functor names occurring in a formula."""
+    return symbols(f)[1]
+
+
 def intersect(a: PointSet, b: PointSet) -> PointSet:
     """Set intersection of two point sets; convexity is preserved."""
     if a is EMPTY or b is EMPTY:
@@ -429,9 +457,6 @@ class Partitioning(Record):
             if b.lo <= a.hi:
                 raise ValueError(f"overlapping blocks {a} and {b}")
         object.__setattr__(self, "blocks", ordered)
-
-    def __contains__(self, p) -> bool:
-        return isinstance(p, Period) and p in self.blocks
 
     def starting_at(self, lo: int):
         """The unique block whose first point is lo, or None."""

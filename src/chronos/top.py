@@ -32,6 +32,8 @@ from .core import (
     print_chain,
     subper,
 )
+# the one symbol walk, shared with BOT
+from .core import free_vars, free_vars_ordered, functors, symbols  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -103,57 +105,6 @@ class EvalIndex(Record):
     st: int
     et: Period
     lt: PointSet
-
-
-# ---------------------------------------------------------------------------
-# Variable and functor collection
-
-
-def symbols(f) -> tuple:
-    """(variable names in first-occurrence order, functor names) of a
-    formula, from one walk with an explicit stack: depth first, left to
-    right. All TOP variables are free."""
-    names, functors, todo = {}, set(), [f]  # names as keys keep their order
-    while todo:
-        f = todo.pop()
-        t = type(f)
-        if t is Literal:
-            functors.add(f.functor)
-            for a in f.args:
-                if type(a) is Var:
-                    names[a.name] = None
-        elif t is And:
-            todo.append(f.right)
-            todo.append(f.left)
-        elif t is Part:
-            names[f.var.name] = None
-        elif t is Past or t is Perf or t is Ntense:
-            if f.var is not None:
-                names[f.var.name] = None
-            todo.append(f.body)
-        elif t is At or t is Before or t is After:
-            if type(f.term) is Var:
-                names[f.term.name] = None
-            todo.append(f.body)
-        elif t is Pres or t is Fills or t is Culm or t is For:
-            todo.append(f.body)
-        else:
-            raise TypeError(f"not a TOP formula: {f!r}")
-    return list(names), functors
-
-
-def free_vars_ordered(f) -> list:
-    """Free variable names in first-occurrence order."""
-    return symbols(f)[0]
-
-
-def free_vars(f) -> set:
-    return set(symbols(f)[0])
-
-
-def functors(f) -> set:
-    """All predicate functor names occurring in a formula."""
-    return symbols(f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +542,10 @@ def denot_top_witness(m: TopModel, st: int, f):
     compiler.formula(f)
     plan = compiler.plan
     plan.restrict(_EVENT_TIME, plan.index.periods)
-    # a leading test that always passes fixes the binding order
-    order = (_EVENT_TIME, *free_vars_ordered(f))
-    found = plan.search([(_always, order)] + compiler.tests)
+    # a leading test that always passes binds the event time first; each
+    # clause adds its own variable's test before its body's, so the
+    # variables follow in first-occurrence order
+    found = plan.search([(_always, (_EVENT_TIME,))] + compiler.tests)
     if found is None:
         return None
     et = found.pop(_EVENT_TIME)

@@ -10,7 +10,7 @@ unrestricted.
 from __future__ import annotations
 
 from . import bot, top
-from .core import Const, EtaMapping, Record, Var, chain, conjoin, factory, fields
+from .core import Const, EtaMapping, Record, Var, chain, conjoin, factory
 
 
 class EtaCollision(Exception):
@@ -210,8 +210,7 @@ def alpha_equivalent(a, b, fixed=frozenset()) -> bool:
         if type(x) is bot.And:  # along the spine, a frame per group only
             x, y = chain(x), chain(y)
         elif isinstance(x, Record):
-            names = fields(x)
-            x, y = [getattr(x, n) for n in names], [getattr(y, n) for n in names]
+            x, y = type(x)._values(x), type(y)._values(y)
         elif not isinstance(x, tuple):
             return x == y
         return len(x) == len(y) and all(map(walk, x, y))

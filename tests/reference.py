@@ -586,7 +586,8 @@ def eval_bot(m, st, g, f) -> bool:
         part = m.partitioning(f.part)
         if part is None:
             raise UnknownPartitioning(f.part)
-        return denote_term(m, st, g, f.term) in part
+        v = denote_term(m, st, g, f.term)
+        return type(v) is Period and v in part.blocks
     if t is bot.Prec:
         a = eval_point(m, st, g, f.left)
         if a is UNDEFINED:
@@ -644,11 +645,11 @@ def eval_top(m, st, et, lt, g, f):
         if part is None:
             raise UnknownPartitioning(f.part)
         v = _lookup(g, f.var.name)
-        return v in part
+        return type(v) is Period and v in part.blocks
 
     if t is top.Pres:
         # st must fall within the event time; lt is not consulted
-        if st not in et:
+        if not et.lo <= st <= et.hi:
             return False
         return eval_top(m, st, et, lt, g, f.body)
 

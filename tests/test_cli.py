@@ -206,6 +206,20 @@ def test_deep_nesting_is_an_input_error(capsys):
         "error: line 1, column 1001: nesting deeper than 200 levels\n")
 
 
+def test_nesting_too_deep_to_evaluate_is_an_input_error(capsys):
+    # within the BOT parser's cap of 402, but the compiler takes several
+    # frames per level, so the recursion limit ends the evaluation first
+    for text in (
+        "period(?x) & subper(?x, " + "intersect(" * 402 + "?x"
+        + ", [beg, end])" * 402 + ")",
+        "prec(beg, " + "earliest([beg, " * 170 + "end" + "])" * 170 + ")",
+    ):
+        assert main(["eval", M0, "bot", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: formula nests too deeply to evaluate\n"
+
+
 def test_long_bot_conjunction_evaluates(capsys):
     text = "prec(beg, end) & " * 3000 + "empty(tank5, ?p)"
     assert main(["eval", M0, "bot", text, "--trace"]) == 0

@@ -20,10 +20,12 @@ from chronos.core import (
     ObjectDomain,
     Partitioning,
     Period,
+    Record,
     Timeline,
     Var,
     derive_bot_model,
     evaluate,
+    fields,
 )
 from bot_formulas import gen_bot_formula
 from chronos.equiv import GenParams, gen_case
@@ -53,6 +55,17 @@ def _speech_times(m):
     return sorted({0, m.timeline.size // 2, m.timeline.t_last})
 
 
+def _terms(x):
+    """Every term nested in x, a BOT atom or term, depth first, left to
+    right."""
+    for name in fields(x):
+        value = getattr(x, name)
+        for t in value if type(value) is tuple else (value,):
+            if isinstance(t, Record):
+                yield t
+                yield from _terms(t)
+
+
 def _check_conjuncts(m, f, objects, rng, tries=3):
     """Every conjunct of f, and every point and period expression in it,
     under random full assignments at three speech times; where one names
@@ -72,7 +85,7 @@ def _check_conjuncts(m, f, objects, rng, tries=3):
                 want = atom_error or _outcome(
                     lambda: reference.eval_bot(m, st, g, atom))
                 assert got == want, (bot.print_bot(atom), st, g)
-                for e in bot._atom_subterms(atom):
+                for e in _terms(atom):
                     if type(e) in reference.POINT_TYPES:
                         pair = (bot.eval_point, reference.eval_point)
                     elif type(e) in reference.PERIOD_TYPES:
@@ -170,12 +183,11 @@ def _check_folding(m, f):
             continue
         for st in _speech_times(m):
             compiler = bot._Compiler(m, st)
-            parts = [(atom, compiler.atom, reference.eval_bot,
-                      bot._atom_subterms(atom))]
-            parts += [(e, compiler.term, reference.denote_term, bot._subterms(e))
-                      for e in bot._atom_subterms(atom)]
-            for part, compile, value, subterms in parts:
-                fixed = not any(type(s) is Var for s in subterms)
+            parts = [(atom, compiler.atom, reference.eval_bot, _terms(atom))]
+            parts += [(e, compiler.term, reference.denote_term, [e, *_terms(e)])
+                      for e in _terms(atom)]
+            for part, compile, value, terms in parts:
+                fixed = not any(type(t) is Var for t in terms)
                 x = compile(part)
                 where = (bot.print_bot(atom), part, st)
                 assert (type(x) is bot._Fixed) is fixed, where

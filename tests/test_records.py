@@ -349,6 +349,6 @@ def test_import_loads_neither_dataclasses_nor_inspect():
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
-        env={"PYTHONPATH": str(SRC)}, check=True,
+        env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}, check=True,
     ).stdout
     assert out == "[]\n"
