@@ -10,7 +10,7 @@ collapses to false at every atom.
 """
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import lexer
 from .core import (
@@ -331,25 +331,101 @@ def _closure(x):
     return x
 
 
+def _apply(fn, x):
+    """fn of one compiled operand: folded when the operand is."""
+    if type(x) is _Fixed:
+        return _Fixed(fn(x.value))
+    return lambda g: fn(x(g))
+
+
+def _apply2(fn, a, b):
+    """fn of two compiled operands: folded when both are.  A folded
+    operand goes in as its value."""
+    if type(a) is _Fixed:
+        x = a.value
+        if type(b) is _Fixed:
+            return _Fixed(fn(x, b.value))
+        return lambda g: fn(x, b(g))
+    if type(b) is _Fixed:
+        y = b.value
+        return lambda g: fn(a(g), y)
+    return lambda g: fn(a(g), b(g))
+
+
+# The value functions: each part's denotation as a function of its
+# operands' denotations.  UNDEFINED is absorbing, and false at every atom.
+
+
+def _earliest(p):
+    return p.lo if type(p) is Period else UNDEFINED
+
+
+def _latest(p):
+    return p.hi if type(p) is Period else UNDEFINED
+
+
+def _meet(x, y):
+    return UNDEFINED if x is UNDEFINED or y is UNDEFINED else intersect(x, y)
+
+
+def _as_period(v):
+    return v if type(v) is Period else UNDEFINED
+
+
+def _subper(x, y):
+    return (type(x) is Period and type(y) is Period
+            and y.lo <= x.lo and x.hi <= y.hi)
+
+
+def _eq(x, y):
+    return x is not UNDEFINED and y is not UNDEFINED and x == y
+
+
+def _prec(x, y):
+    return x is not UNDEFINED and y is not UNDEFINED and x < y
+
+
+def _is_period(v):
+    return type(v) is Period
+
+
+def _point(e):
+    """e, once checked to be a point expression; the check returns before
+    the compiler descends, so it costs no frame per level."""
+    if type(e) not in _POINT_TYPES:
+        raise TypeError(f"not a point expression: {e!r}")
+    return e
+
+
+def _period(e):
+    """e, once checked to be a period expression."""
+    if type(e) not in _PERIOD_TYPES:
+        raise TypeError(f"not a period expression: {e!r}")
+    return e
+
+
 class _Compiler:
     """Compiles BOT expressions against one model and speech time.
 
     One walk over a conjunct gives its test and its variables in
     first-occurrence order, and narrows `plan` by the candidate filters it
-    implies.  A constant or anchor compiles to its value, every other part
-    to its closure, and the dispatchers fold in one place (`_fold`): a part
-    whose compilation met no variable becomes its value.  A functor,
-    constant or partitioning the model lacks raises UnknownFunctor,
-    UnknownConstant or UnknownPartitioning where it is looked up, in
-    reading order.
+    implies.  A variable compiles to its lookup, a constant or anchor to
+    its value (`_Fixed`), and every other part to its value function
+    applied to its compiled operands, by `_apply` or `_apply2`: the part
+    is folded exactly when all its operands are, so exactly when it
+    names no variable.  `term` recurses into `term` directly, one frame
+    per nesting level.  A functor, constant or partitioning the model
+    lacks raises UnknownFunctor, UnknownConstant or UnknownPartitioning
+    where it is looked up, in reading order.
     """
 
     def __init__(self, m: BotModel, st: int):
         self.m = m
         self.st = st
-        self.last = m.timeline.t_last
+        self.last = last = m.timeline.t_last
+        self.succ = lambda v: UNDEFINED if v is UNDEFINED or v >= last else v + 1
         self.plan = CandidatePlan(m.domain.index)
-        self._seen = []  # variable occurrences, in walk order
+        self._seen = []  # variable occurrences, in walk order: scopes, eq needs
 
     def conjunct(self, f):
         """(test g -> bool, the conjunct's variables in first-occurrence order)."""
@@ -357,106 +433,89 @@ class _Compiler:
         test = _closure(self.atom(f))
         return test, list(dict.fromkeys(self._seen[start:]))
 
-    def atom(self, f):
-        start = len(self._seen)
-        compile = _ATOMS.get(type(f))
-        if compile is None:
-            raise TypeError(f"not a BOT formula: {f!r}")
-        return self._fold(compile(self, f), start)
-
     def term(self, t):
-        start = len(self._seen)
-        compile = _TERMS.get(type(t))
-        if compile is None:
-            raise TypeError(f"not a BOT term: {t!r}")
-        return self._fold(compile(self, t), start)
+        tt = type(t)
+        if tt is Var:
+            self._seen.append(t.name)
+            return itemgetter(t.name)
+        if tt is Const:
+            if t.name not in self.m.consts:
+                raise UnknownConstant(f"unknown constant {t.name}")
+            return _Fixed(self.m.consts[t.name])
+        if tt is Beg or tt is Now or tt is End:
+            return _Fixed(0 if tt is Beg else self.st if tt is Now else self.last)
+        if tt is Earliest or tt is Latest:
+            bound = _earliest if tt is Earliest else _latest
+            return _apply(bound, self.term(_period(t.per)))
+        if tt is Succ:
+            return _apply(self.succ, self.term(_point(t.point)))
+        if tt is Interval:
+            lo_shift = 0 if t.lo_closed else 1
+            hi_shift = 0 if t.hi_closed else 1
 
-    def point(self, e):
-        if type(e) not in _POINT_TYPES:
-            raise TypeError(f"not a point expression: {e!r}")
-        return self.term(e)
+            def span(a, b):
+                if a is UNDEFINED or b is UNDEFINED:
+                    return UNDEFINED
+                a += lo_shift
+                b -= hi_shift
+                return Period(a, b) if a <= b else EMPTY
 
-    def period(self, e):
-        if type(e) not in _PERIOD_TYPES:
-            raise TypeError(f"not a period expression: {e!r}")
-        return self.term(e)
+            return _apply2(span, self.term(_point(t.lo)), self.term(_point(t.hi)))
+        if tt is Intersect:
+            return _apply2(_meet, self.term(_period(t.left)),
+                           self.term(_period(t.right)))
+        if tt is TermRef:
+            if type(t.term) is Var:
+                self._periods_only(t.term.name)
+            return _apply(_as_period, self.term(t.term))
+        raise TypeError(f"not a BOT term: {t!r}")
 
-    def _fold(self, x, start):
-        """x, a compiled part, as _Fixed of its value when no variable was
-        met since start: the closure is run once, with no assignment.  That
-        cannot raise, as every name was looked up while compiling and the
-        value functions are total on constants."""
-        if len(self._seen) > start or type(x) is _Fixed:
-            return x
-        return _Fixed(x({}))
+    def atom(self, f):
+        t = type(f)
+        if t is Literal:
+            return self._literal(f)
+        if t is Subper:
+            return _apply2(_subper, self._operand(f.left), self._operand(f.right))
+        if t is Eq:
+            start = len(self._seen)
+            a = self.term(f.left)
+            middle = len(self._seen)
+            b = self.term(f.right)
+            sides = ((f.left, b, self._seen[middle:]),
+                     (f.right, a, self._seen[start:middle]))
+            for v, other, needs in sides:
+                if type(v) is Var:
+                    self.plan.equal_to(v.name, needs, _closure(other))
+            return _apply2(_eq, a, b)
+        if t is IsPeriod:
+            if type(f.term) is Var:
+                self._periods_only(f.term.name)
+            return _apply(_is_period, self.term(f.term))
+        if t is InPart:
+            part = self.m.partitioning(f.part)
+            if part is None:
+                raise UnknownPartitioning(f"unknown partitioning {f.part}")
+            x = self.term(f.term)
+            if type(f.term) is Var:
+                self.plan.restrict(
+                    f.term.name, self.plan.index.positions(part.blocks))
+            blocks = frozenset(part.blocks)
+            return _apply(lambda v: type(v) is Period and v in blocks, x)
+        if t is Prec:
+            return _apply2(_prec, self.term(_point(f.left)),
+                           self.term(_point(f.right)))
+        raise TypeError(f"not a BOT formula: {f!r}")
 
     def _periods_only(self, name):
         self.plan.restrict(name, self.plan.index.periods)
 
-    # terms
-
-    def _var(self, t):
-        self._seen.append(t.name)
-        return itemgetter(t.name)
-
-    def _const(self, t):
-        if t.name not in self.m.consts:
-            raise UnknownConstant(f"unknown constant {t.name}")
-        return _Fixed(self.m.consts[t.name])
-
-    def _anchor(self, e):
-        t = type(e)
-        return _Fixed(0 if t is Beg else self.st if t is Now else self.last)
-
-    def _bound(self, e):
-        per = _closure(self.period(e.per))
-        bound = attrgetter("lo" if type(e) is Earliest else "hi")
-        return lambda g: bound(p) if type(p := per(g)) is Period else UNDEFINED
-
-    def _succ(self, e):
-        last = self.last
-        x = _closure(self.point(e.point))
-
-        def succ(g):
-            v = x(g)
-            return UNDEFINED if v is UNDEFINED or v >= last else v + 1
-
-        return succ
-
-    def _interval(self, e):
-        lo, hi = _closure(self.point(e.lo)), _closure(self.point(e.hi))
-        lo_shift = 0 if e.lo_closed else 1
-        hi_shift = 0 if e.hi_closed else 1
-
-        def span(g):
-            a, b = lo(g), hi(g)
-            if a is UNDEFINED or b is UNDEFINED:
-                return UNDEFINED
-            a += lo_shift
-            b -= hi_shift
-            return Period(a, b) if a <= b else EMPTY
-
-        return span
-
-    def _intersect(self, e):
-        a, b = _closure(self.period(e.left)), _closure(self.period(e.right))
-
-        def meet(g):
-            x = a(g)
-            if x is UNDEFINED:
-                return UNDEFINED
-            y = b(g)
-            return UNDEFINED if y is UNDEFINED else intersect(x, y)
-
-        return meet
-
-    def _termref(self, e):
-        if type(e.term) is Var:
+    def _operand(self, e):
+        """A subper operand: a variable is read as it is bound, since subper
+        rejects anything but a period anyway."""
+        if type(e) is TermRef and type(e.term) is Var:
             self._periods_only(e.term.name)
-        x = _closure(self.term(e.term))
-        return lambda g: v if type(v := x(g)) is Period else UNDEFINED
-
-    # atoms
+            return self.term(e.term)
+        return self.term(_period(e))
 
     def _literal(self, f):
         tuples = self.m.true_tuples(f.functor, len(f.args))
@@ -476,6 +535,8 @@ class _Compiler:
             pattern = tuple(
                 a if type(a) is Var else x.value for a, x in zip(f.args, args))
             slots = [(k, a.name) for k, a in enumerate(f.args) if type(a) is Var]
+            if not slots:
+                return _Fixed(pattern in tuples)
 
             def literal(g):
                 vals = list(pattern)
@@ -484,6 +545,8 @@ class _Compiler:
                 return tuple(vals) in tuples
 
             return literal
+        if all(type(x) is _Fixed for x in args):
+            return _Fixed(False)  # an argument is undefined
         args = [_closure(x) for x in args]
 
         def literal(g):
@@ -492,108 +555,15 @@ class _Compiler:
 
         return literal
 
-    def _operand(self, e):
-        """A subper operand: a variable is read as it is bound, since subper
-        rejects anything but a period anyway."""
-        if type(e) is TermRef and type(e.term) is Var:
-            self._periods_only(e.term.name)
-            return self._var(e.term)
-        return _closure(self.period(e))
-
-    def _subper(self, f):
-        a, b = self._operand(f.left), self._operand(f.right)
-
-        def subper(g):
-            x = a(g)
-            if type(x) is not Period:
-                return False
-            y = b(g)
-            return type(y) is Period and y.lo <= x.lo and x.hi <= y.hi
-
-        return subper
-
-    def _eq(self, f):
-        start = len(self._seen)
-        a = _closure(self.term(f.left))
-        middle = len(self._seen)
-        b = _closure(self.term(f.right))
-        sides = ((f.left, b, self._seen[middle:]),
-                 (f.right, a, self._seen[start:middle]))
-        for v, other, needs in sides:
-            if type(v) is Var:
-                self.plan.equal_to(v.name, needs, other)
-
-        def eq(g):
-            x = a(g)
-            if x is UNDEFINED:
-                return False
-            y = b(g)
-            return y is not UNDEFINED and x == y
-
-        return eq
-
-    def _is_period(self, f):
-        if type(f.term) is Var:
-            self._periods_only(f.term.name)
-        x = _closure(self.term(f.term))
-        return lambda g: type(x(g)) is Period
-
-    def _in_part(self, f):
-        part = self.m.partitioning(f.part)
-        if part is None:
-            raise UnknownPartitioning(f"unknown partitioning {f.part}")
-        x = _closure(self.term(f.term))
-        if type(f.term) is Var:
-            self.plan.restrict(
-                f.term.name, self.plan.index.positions(part.blocks))
-        blocks = frozenset(part.blocks)
-        return lambda g: type(v := x(g)) is Period and v in blocks
-
-    def _prec(self, f):
-        a, b = _closure(self.point(f.left)), _closure(self.point(f.right))
-
-        def prec(g):
-            x = a(g)
-            if x is UNDEFINED:
-                return False
-            y = b(g)
-            return y is not UNDEFINED and x < y
-
-        return prec
-
-
-_TERMS = {
-    Var: _Compiler._var,
-    Const: _Compiler._const,
-    Beg: _Compiler._anchor,
-    Now: _Compiler._anchor,
-    End: _Compiler._anchor,
-    Earliest: _Compiler._bound,
-    Latest: _Compiler._bound,
-    Succ: _Compiler._succ,
-    Interval: _Compiler._interval,
-    Intersect: _Compiler._intersect,
-    TermRef: _Compiler._termref,
-}
-
-_ATOMS = {
-    Literal: _Compiler._literal,
-    Subper: _Compiler._subper,
-    Eq: _Compiler._eq,
-    IsPeriod: _Compiler._is_period,
-    InPart: _Compiler._in_part,
-    Prec: _Compiler._prec,
-}
-
 
 def eval_point(m: BotModel, st: int, g: Assignment, e):
     """Time-point denoted by a point expression, or UNDEFINED."""
-    return evaluate(_closure(_Compiler(m, st).point(e)), g)
+    return evaluate(_closure(_Compiler(m, st).term(_point(e))), g)
 
 
 def eval_period(m: BotModel, st: int, g: Assignment, e):
     """Point set denoted by a period expression: Period, EMPTY, or UNDEFINED."""
-    return evaluate(_closure(_Compiler(m, st).period(e)), g)
+    return evaluate(_closure(_Compiler(m, st).term(_period(e))), g)
 
 
 def eval_bot(m: BotModel, st: int, g: Assignment, f) -> bool:

@@ -140,7 +140,7 @@ def main(argv=None) -> int:
             EtaCollision, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:  # the parsers' caps leave the evaluators less room
+    except RecursionError:  # a safety net: no formula within the caps gets here
         print("error: formula nests too deeply to evaluate", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,6 +1,20 @@
-"""Random grammar-valid BOT formulas for parser round-trip checks."""
+"""BOT formulas for tests: random grammar-valid ones for parser round-trip
+checks, and nests as deep as the parser admits."""
 from chronos import bot
 from chronos.core import Const, Var
+
+#: (formula, its answer on m0 at speech time 7): 401 or 402 levels, the
+#: BOT parser's cap; the last two read a variable at the bottom, so their
+#: closures nest as deep as their compilation does
+DEEPEST_NESTS = (
+    ("period(?x) & subper(?x, " + "intersect(" * 402 + "?x"
+     + ", [beg, end])" * 402 + ")", True),
+    ("prec(beg, " + "earliest([beg, " * 402 + "end" + "])" * 402 + ")", False),
+    ("period(?x) & prec(" + "earliest([beg, " * 401 + "latest(?x)"
+     + "])" * 401 + ", end)", True),
+    ("period(?x) & prec(beg, " + "succ(" * 401 + "latest(?x)" + ")" * 401
+     + ")", False),
+)
 
 
 def gen_bot_formula(rng):

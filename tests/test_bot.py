@@ -118,6 +118,11 @@ def test_eval_bot_examples(b0):
     assert eval_bot(b0, 7, {}, parse_bot("period(d_jan)")) is True
     with pytest.raises(UnboundVariable):
         eval_bot(b0, 7, {}, parse_bot("period(?x)"))
+    # an atom reads every operand, even after one is undefined
+    for text in ("subper(?x, ?y)", "eq(earliest(?x), earliest(?y))",
+                 "prec(latest(?x), earliest(?y))"):
+        with pytest.raises(UnboundVariable, match="^y$"):
+            eval_bot(b0, 7, {"x": "tank5"}, parse_bot(text))
     with pytest.raises(UnknownFunctor):
         eval_bot(b0, 7, {}, parse_bot("missing(tank5)"))
     with pytest.raises(UnknownPartitioning):

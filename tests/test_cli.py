@@ -5,6 +5,8 @@ from chronos import cli
 from chronos.cli import _build_parser, main
 from chronos.core import fields
 from chronos.equiv import CampaignReport, GenParams
+from bot_formulas import DEEPEST_NESTS
+from test_symbols import _shallow
 
 DATA = Path(__file__).parent / "data"
 M0 = str(DATA / "m0.tmodel")
@@ -206,18 +208,21 @@ def test_deep_nesting_is_an_input_error(capsys):
         "error: line 1, column 1001: nesting deeper than 200 levels\n")
 
 
-def test_nesting_too_deep_to_evaluate_is_an_input_error(capsys):
-    # within the BOT parser's cap of 402, but the compiler takes several
-    # frames per level, so the recursion limit ends the evaluation first
-    for text in (
-        "period(?x) & subper(?x, " + "intersect(" * 402 + "?x"
-        + ", [beg, end])" * 402 + ")",
-        "prec(beg, " + "earliest([beg, " * 170 + "end" + "])" * 170 + ")",
-    ):
-        assert main(["eval", M0, "bot", text]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: formula nests too deeply to evaluate\n"
+def test_nests_at_the_bot_cap_evaluate(capsys):
+    # the BOT compiler takes one frame per nesting level, so every formula
+    # the parser admits evaluates under the default recursion limit
+    for text, answer in DEEPEST_NESTS:
+        assert main(["eval", M0, "bot", text]) == 0
+        assert capsys.readouterr().out == ("true\n" if answer else "false\n")
+
+
+def test_recursion_error_is_an_input_error(capsys):
+    # a safety net no formula within the caps reaches: lower the limit
+    text = DEEPEST_NESTS[0][0]
+    assert _shallow(lambda: main(["eval", M0, "bot", text]), 100) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: formula nests too deeply to evaluate\n"
 
 
 def test_long_bot_conjunction_evaluates(capsys):

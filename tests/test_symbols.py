@@ -7,13 +7,17 @@ own variable's test before its body's, and each BOT conjunct lists its
 variables in reading order, so that order is the event time, then the
 formula's variables in first-occurrence order, as `free_vars_ordered`
 walks them.
+
+The BOT compiler recurses once per nesting level, so that the deepest
+nests the parser admits compile and evaluate within the recursion limit.
 """
 import sys
 
 from chronos import bot, top
-from chronos.core import Literal, Var, conjoin, derive_bot_model, symbols
+from chronos.core import Literal, Record, Var, conjoin, derive_bot_model, symbols
 from chronos.equiv import GenParams, gen_case
 from chronos.translate import translate
+from bot_formulas import DEEPEST_NESTS
 
 #: hand-written nestings over m0: located, Perf, Past and Ntense variables
 #: ahead of the literals that read them, and a leading Part
@@ -75,14 +79,14 @@ def test_both_languages_share_the_walk():
     assert top.free_vars_ordered(top.parse_top("p(a) & Ntense[now, q(b)]")) == []
 
 
-def _shallow(run):
-    """run() with 50 frames to spare, fewer than a walk that recursed per
-    operand or per nesting level would need."""
+def _shallow(run, spare=50):
+    """run() with `spare` frames to spare, by default fewer than a walk that
+    recursed per operand or per nesting level would need."""
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 50)
+    sys.setrecursionlimit(depth + spare)
     try:
         return run()
     finally:
@@ -106,3 +110,23 @@ def test_symbols_walks_long_chains_and_deep_nests_without_recursion():
     b = bot.parse_bot("prec(beg, " + "succ(" * (cap - 1) + "latest(?s)"
                       + ")" * cap)
     assert _shallow(lambda: bot.free_vars(b)) == {"s"}
+
+
+def _term_depth(atom):
+    """Records on the longest path down from atom, the atom included."""
+    deepest, todo = 0, [(atom, 1)]
+    while todo:
+        x, d = todo.pop()
+        if isinstance(x, Record):
+            deepest = max(deepest, d)
+            todo += [(v, d + 1) for v in type(x)._values(x)]
+    return deepest
+
+
+def test_bot_compiles_and_evaluates_one_frame_per_term_level(m0):
+    derived = derive_bot_model(m0.model)
+    for text, answer in DEEPEST_NESTS:
+        f = bot.parse_bot(text)
+        depth = max(_term_depth(atom) for atom in bot.flatten(f))
+        assert _shallow(lambda: bot.denot_bot(derived, m0.speech, f),
+                        depth + 20) is answer, text[:40]
