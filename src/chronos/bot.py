@@ -10,8 +10,6 @@ collapses to false at every atom.
 """
 from __future__ import annotations
 
-from operator import itemgetter
-
 from . import lexer
 from .core import (
     EMPTY,
@@ -19,15 +17,19 @@ from .core import (
     And,
     Assignment,
     BotModel,
-    CandidatePlan,
+    Compiler,
     Const,
     Literal,
     Period,
     Record,
-    UnknownConstant,
     UnknownFunctor,
-    UnknownPartitioning,
     Var,
+    _closure,
+    _constant,
+    _Fixed,
+    _is_period,
+    _lift,
+    _row,
     evaluate,
     intersect,
     print_chain,
@@ -313,45 +315,6 @@ def print_bot(f) -> str:
 # Evaluation: each conjunct is compiled once into a closure g -> bool
 
 
-class _Fixed:
-    """A subexpression folded when it is compiled: its value under every
-    assignment, because it reads no variable."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-def _closure(x):
-    """A compiled subexpression as a callable g -> value."""
-    if type(x) is _Fixed:
-        value = x.value
-        return lambda g: value
-    return x
-
-
-def _apply(fn, x):
-    """fn of one compiled operand: folded when the operand is."""
-    if type(x) is _Fixed:
-        return _Fixed(fn(x.value))
-    return lambda g: fn(x(g))
-
-
-def _apply2(fn, a, b):
-    """fn of two compiled operands: folded when both are.  A folded
-    operand goes in as its value."""
-    if type(a) is _Fixed:
-        x = a.value
-        if type(b) is _Fixed:
-            return _Fixed(fn(x, b.value))
-        return lambda g: fn(x, b(g))
-    if type(b) is _Fixed:
-        y = b.value
-        return lambda g: fn(a(g), y)
-    return lambda g: fn(a(g), b(g))
-
-
 # The value functions: each part's denotation as a function of its
 # operands' denotations.  UNDEFINED is absorbing, and false at every atom.
 
@@ -385,10 +348,6 @@ def _prec(x, y):
     return x is not UNDEFINED and y is not UNDEFINED and x < y
 
 
-def _is_period(v):
-    return type(v) is Period
-
-
 def _point(e):
     """e, once checked to be a point expression; the check returns before
     the compiler descends, so it costs no frame per level."""
@@ -404,51 +363,43 @@ def _period(e):
     return e
 
 
-class _Compiler:
+class _Compiler(Compiler):
     """Compiles BOT expressions against one model and speech time.
 
     One walk over a conjunct gives its test and its variables in
     first-occurrence order, and narrows `plan` by the candidate filters it
-    implies.  A variable compiles to its lookup, a constant or anchor to
-    its value (`_Fixed`), and every other part to its value function
-    applied to its compiled operands, by `_apply` or `_apply2`: the part
-    is folded exactly when all its operands are, so exactly when it
-    names no variable.  `term` recurses into `term` directly, one frame
-    per nesting level.  A functor, constant or partitioning the model
-    lacks raises UnknownFunctor, UnknownConstant or UnknownPartitioning
-    where it is looked up, in reading order.
+    implies.  Every part compiles to an operand (see `core._lift`): a
+    variable to its lookup, a constant or anchor to its value (`_Fixed`),
+    and every other part to its value function lifted over its operands,
+    folded exactly when all of them are, so exactly when it names no
+    variable.  A conjunct's scope is the names of its operands.  `term`
+    recurses into `term` directly, one frame per nesting level.  A
+    functor, constant or partitioning the model lacks raises
+    UnknownFunctor, UnknownConstant or UnknownPartitioning where it is
+    looked up, in reading order.
     """
 
     def __init__(self, m: BotModel, st: int):
-        self.m = m
-        self.st = st
+        super().__init__(m, st)
         self.last = last = m.timeline.t_last
         self.succ = lambda v: UNDEFINED if v is UNDEFINED or v >= last else v + 1
-        self.plan = CandidatePlan(m.domain.index)
-        self._seen = []  # variable occurrences, in walk order: scopes, eq needs
 
     def conjunct(self, f):
         """(test g -> bool, the conjunct's variables in first-occurrence order)."""
-        start = len(self._seen)
-        test = _closure(self.atom(f))
-        return test, list(dict.fromkeys(self._seen[start:]))
+        test, names = self.atom(f)
+        return _closure(test), list(dict.fromkeys(names))
 
     def term(self, t):
         tt = type(t)
-        if tt is Var:
-            self._seen.append(t.name)
-            return itemgetter(t.name)
-        if tt is Const:
-            if t.name not in self.m.consts:
-                raise UnknownConstant(f"unknown constant {t.name}")
-            return _Fixed(self.m.consts[t.name])
+        if tt is Var or tt is Const:
+            return super().term(t)
         if tt is Beg or tt is Now or tt is End:
-            return _Fixed(0 if tt is Beg else self.st if tt is Now else self.last)
+            return _constant(0 if tt is Beg else self.st if tt is Now else self.last)
         if tt is Earliest or tt is Latest:
             bound = _earliest if tt is Earliest else _latest
-            return _apply(bound, self.term(_period(t.per)))
+            return _lift(bound, self.term(_period(t.per)))
         if tt is Succ:
-            return _apply(self.succ, self.term(_point(t.point)))
+            return _lift(self.succ, self.term(_point(t.point)))
         if tt is Interval:
             lo_shift = 0 if t.lo_closed else 1
             hi_shift = 0 if t.hi_closed else 1
@@ -460,14 +411,14 @@ class _Compiler:
                 b -= hi_shift
                 return Period(a, b) if a <= b else EMPTY
 
-            return _apply2(span, self.term(_point(t.lo)), self.term(_point(t.hi)))
+            return _lift(span, self.term(_point(t.lo)), self.term(_point(t.hi)))
         if tt is Intersect:
-            return _apply2(_meet, self.term(_period(t.left)),
-                           self.term(_period(t.right)))
+            return _lift(_meet, self.term(_period(t.left)),
+                         self.term(_period(t.right)))
         if tt is TermRef:
             if type(t.term) is Var:
                 self._periods_only(t.term.name)
-            return _apply(_as_period, self.term(t.term))
+            return _lift(_as_period, self.term(t.term))
         raise TypeError(f"not a BOT term: {t!r}")
 
     def atom(self, f):
@@ -475,39 +426,23 @@ class _Compiler:
         if t is Literal:
             return self._literal(f)
         if t is Subper:
-            return _apply2(_subper, self._operand(f.left), self._operand(f.right))
+            return _lift(_subper, self._operand(f.left), self._operand(f.right))
         if t is Eq:
-            start = len(self._seen)
-            a = self.term(f.left)
-            middle = len(self._seen)
-            b = self.term(f.right)
-            sides = ((f.left, b, self._seen[middle:]),
-                     (f.right, a, self._seen[start:middle]))
-            for v, other, needs in sides:
+            a, b = self.term(f.left), self.term(f.right)
+            for v, (other, needs) in ((f.left, b), (f.right, a)):
                 if type(v) is Var:
                     self.plan.equal_to(v.name, needs, _closure(other))
-            return _apply2(_eq, a, b)
+            return _lift(_eq, a, b)
         if t is IsPeriod:
             if type(f.term) is Var:
                 self._periods_only(f.term.name)
-            return _apply(_is_period, self.term(f.term))
+            return _lift(_is_period, self.term(f.term))
         if t is InPart:
-            part = self.m.partitioning(f.part)
-            if part is None:
-                raise UnknownPartitioning(f"unknown partitioning {f.part}")
-            x = self.term(f.term)
-            if type(f.term) is Var:
-                self.plan.restrict(
-                    f.term.name, self.plan.index.positions(part.blocks))
-            blocks = frozenset(part.blocks)
-            return _apply(lambda v: type(v) is Period and v in blocks, x)
+            return _lift(*self._in_part(f.part, f.term))
         if t is Prec:
-            return _apply2(_prec, self.term(_point(f.left)),
-                           self.term(_point(f.right)))
+            return _lift(_prec, self.term(_point(f.left)),
+                         self.term(_point(f.right)))
         raise TypeError(f"not a BOT formula: {f!r}")
-
-    def _periods_only(self, name):
-        self.plan.restrict(name, self.plan.index.periods)
 
     def _operand(self, e):
         """A subper operand: a variable is read as it is bound, since subper
@@ -529,41 +464,24 @@ class _Compiler:
             for a in f.args
         )
         self.plan.semijoin(tuples, key)
+        values = [x for x, _ in args]
         if all(type(a) is Var or type(x) is _Fixed and x.value is not UNDEFINED
-               for a, x in zip(f.args, args)):
+               for a, x in zip(f.args, values)):
             # the folded arguments stay in place; only variables are read
-            pattern = tuple(
-                a if type(a) is Var else x.value for a, x in zip(f.args, args))
-            slots = [(k, a.name) for k, a in enumerate(f.args) if type(a) is Var]
-            if not slots:
-                return _Fixed(pattern in tuples)
-
-            def literal(g):
-                vals = list(pattern)
-                for k, name in slots:
-                    vals[k] = g[name]
-                return tuple(vals) in tuples
-
-            return literal
-        if all(type(x) is _Fixed for x in args):
-            return _Fixed(False)  # an argument is undefined
-        args = [_closure(x) for x in args]
-
-        def literal(g):
-            vals = tuple([arg(g) for arg in args])
-            return not any(v is UNDEFINED for v in vals) and vals in tuples
-
-        return literal
+            return _lift(tuples.__contains__, _row(tuple(
+                a if type(a) is Var else x.value for a, x in zip(f.args, values))))
+        return _lift(lambda *vals: not any(v is UNDEFINED for v in vals)
+                     and vals in tuples, *args)
 
 
 def eval_point(m: BotModel, st: int, g: Assignment, e):
     """Time-point denoted by a point expression, or UNDEFINED."""
-    return evaluate(_closure(_Compiler(m, st).term(_point(e))), g)
+    return evaluate(_closure(_Compiler(m, st).term(_point(e))[0]), g)
 
 
 def eval_period(m: BotModel, st: int, g: Assignment, e):
     """Point set denoted by a period expression: Period, EMPTY, or UNDEFINED."""
-    return evaluate(_closure(_Compiler(m, st).term(_period(e))), g)
+    return evaluate(_closure(_Compiler(m, st).term(_period(e))[0]), g)
 
 
 def eval_bot(m: BotModel, st: int, g: Assignment, f) -> bool:

@@ -7,13 +7,16 @@ non-empty convex set of points, realized as a closed integer interval
 sentinel values (``EMPTY``, ``UNDEFINED``) rather than errors, because the
 evaluators of both languages propagate them.
 
-Everything in this module is immutable after construction and safe to
-share across threads.
+The records, models and domain indexes here are immutable after
+construction and safe to share across threads.  `CandidatePlan` and
+`Compiler` are not: compiling a formula narrows its plan in place
+(`restrict`, `equal_to`, `semijoin`), so each belongs to one compile and
+the search that follows it.
 """
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, total_ordering
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, Union
 
 
@@ -743,6 +746,124 @@ class CandidatePlan:
                 g.pop(name, None)  # never bound when there were no candidates
             else:
                 return None
+
+
+# ---------------------------------------------------------------------------
+# Compiling: what the TOP and BOT compilers share
+#
+# Every compiled part, in either language, is an operand: a pair (value,
+# names).  The value is `_Fixed` when the part reads no variable, or else
+# a function g -> value; names are the variables the part reads, in
+# reading order, repeats included.
+
+
+class _Fixed:
+    """A part folded when it is compiled: its value under every
+    assignment, because it reads no variable."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _closure(x):
+    """A compiled value as a callable g -> value."""
+    if type(x) is _Fixed:
+        value = x.value
+        return lambda g: value
+    return x
+
+
+def _constant(value):
+    """The operand of a value known while compiling."""
+    return _Fixed(value), ()
+
+
+def _lift(fn, *operands):
+    """fn of compiled operands, as an operand: folded exactly when all of
+    them are, and reading the names they read, in order.  A folded
+    operand goes in as its value."""
+    if len(operands) == 1:
+        (x, names), = operands
+        if type(x) is _Fixed:
+            return _Fixed(fn(x.value)), names
+        return (lambda g: fn(x(g))), names
+    if len(operands) == 2:
+        (a, names), (b, more) = operands
+        names += more
+        if type(a) is _Fixed:
+            if type(b) is _Fixed:
+                return _Fixed(fn(a.value, b.value)), names
+            a = a.value
+            return (lambda g: fn(a, b(g))), names
+        if type(b) is _Fixed:
+            b = b.value
+            return (lambda g: fn(a(g), b)), names
+        return (lambda g: fn(a(g), b(g))), names
+    names = tuple(n for _, ns in operands for n in ns)
+    if all(type(x) is _Fixed for x, _ in operands):
+        return _Fixed(fn(*[x.value for x, _ in operands])), names
+    xs = [_closure(x) for x, _ in operands]
+    return (lambda g: fn(*[x(g) for x in xs])), names
+
+
+def _row(pattern):
+    """The tuple pattern, each Var in it replaced by its value, as an
+    operand: a literal's arguments with the folded ones kept in place."""
+    slots = [(k, a.name) for k, a in enumerate(pattern) if type(a) is Var]
+    if not slots:
+        return _constant(pattern)
+
+    def row(g):
+        values = list(pattern)
+        for k, name in slots:
+            values[k] = g[name]
+        return tuple(values)
+
+    return row, tuple(name for _, name in slots)
+
+
+def _is_period(v):
+    return type(v) is Period
+
+
+class Compiler:
+    """What the TOP and BOT compilers share: the model, the speech time,
+    the candidate plan that compiling narrows, and the lookups of names.
+    A constant or partitioning the model lacks raises UnknownConstant or
+    UnknownPartitioning where it is looked up."""
+
+    def __init__(self, m, st: int):
+        self.m = m
+        self.st = st
+        self.plan = CandidatePlan(m.domain.index)
+
+    def term(self, t):
+        """A variable or constant as an operand: its lookup, or its value."""
+        if type(t) is Var:
+            return itemgetter(t.name), (t.name,)
+        return _constant(self._const(t.name))
+
+    def _const(self, name):
+        if name not in self.m.consts:
+            raise UnknownConstant(f"unknown constant {name}")
+        return self.m.consts[name]
+
+    def _periods_only(self, name):
+        self.plan.restrict(name, self.plan.index.periods)
+
+    def _in_part(self, name, t):
+        """The block test of partitioning `name`, looked up before the term
+        t it applies to is compiled, and t's operand; a variable t takes
+        only the blocks."""
+        part = self.m.partitioning(name)
+        if part is None:
+            raise UnknownPartitioning(f"unknown partitioning {name}")
+        if type(t) is Var:
+            self.plan.restrict(t.name, self.plan.index.positions(part.blocks))
+        blocks = frozenset(part.blocks)
+        return (lambda v: type(v) is Period and v in blocks), self.term(t)
 
 
 class FunctorCollision(Exception):

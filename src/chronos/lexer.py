@@ -26,6 +26,10 @@ from .core import Const, Literal, Var, conjoin
 #: how deep TOP formulas may nest; BOT allows more (see bot._BotParser)
 MAX_DEPTH = 200
 
+#: the largest quantity For takes: translating For[P, n, ...] builds about
+#: two conjuncts per block, so an unbounded n exhausts memory
+MAX_QUANTITY = 10_000
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, column: int):

@@ -9,23 +9,28 @@ which are free by construction; there is no binding operator.
 """
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from . import lexer
 from .core import (
     EMPTY,
     And,
     Assignment,
-    CandidatePlan,
+    Compiler,
     Literal,
     Period,
     PointSet,
     Record,
     TopModel,
-    UnknownConstant,
     UnknownFunctor,
     UnknownPartitioning,
     Var,
+    _closure,
+    _constant,
+    _Fixed,
+    _is_period,
+    _lift,
+    _row,
     chain,
     evaluate,
     intersect,
@@ -156,11 +161,16 @@ class _TopParser(lexer.Parser):
             part = self.expect(lexer.IDENT, "partitioning name")[1]
             self.expect(",")
             qty_tok = self.expect(lexer.INT, "quantity")
-            qty = int(qty_tok[1])
-            if qty < 1:
+            digits = qty_tok[1].lstrip("0")
+            if not digits:
                 self.error("quantity must be at least 1", qty_tok)
+            # lengths first, as int() refuses more than 4,300 digits
+            if (len(digits) > len(str(lexer.MAX_QUANTITY))
+                    or int(digits) > lexer.MAX_QUANTITY):
+                self.error(f"quantity must be at most {lexer.MAX_QUANTITY}",
+                           qty_tok)
             self.expect(",")
-            f = For(part, qty, self.formula())
+            f = For(part, int(digits), self.formula())
         else:  # Part
             part = self.expect(lexer.IDENT, "partitioning name")[1]
             self.expect(",")
@@ -224,49 +234,40 @@ def print_top(f) -> str:
 _EVENT_TIME = object()
 
 
-def _never(g):
-    return False
-
-
 def _always(g):
     return True
 
 
-def _inside(et, lt, g):
-    return subper(et, lt)
-
-
-class _Compiler:
+class _Compiler(Compiler):
     """Compiles TOP formulas against one model and root index.
 
     No TOP operator negates or disjoins, so a formula is the conjunction of
-    the conditions its clauses check.  Each condition becomes a test g ->
-    bool in `tests`, paired with its scope: exactly the names it reads.
-    Those are its own variables, the event time of its clause when that is
-    searched, and, when it reads lt, the located variables whose windows
-    narrowed lt.  A clause adds its tests before its body's, in the order it
-    checks them, so running the list in order under a full assignment is
-    evaluation.  Windows and block spans that depend on no variable are
-    computed here, once, and `plan` is narrowed by filters that every
+    the conditions its clauses check.  The index is two operands, folded
+    like BOT's terms (see `core._lift`): `et`, the event time of the clause
+    being compiled, and `lt`, the window.  Each condition is fn of the
+    operands it reads, added to `tests` as a test g -> bool with its scope,
+    their names: its own variables, then the event time of its clause when
+    that is searched, then, when it reads lt, the located variables whose
+    windows narrowed lt.  A test folded to true is left out, one folded to
+    false gets an empty scope.  A clause adds its tests before its body's,
+    in the order it checks them, so running the list in order under a full
+    assignment is evaluation.  `plan` is narrowed by filters that every
     satisfying assignment passes.  A functor, constant or partitioning the
     model lacks raises UnknownFunctor, UnknownConstant or
-    UnknownPartitioning where it is looked up, in reading order: a clause's
-    own names before its body's.
+    UnknownPartitioning where it is looked up, in reading order: a
+    clause's own names before its body's.
 
-    `et` is the event time of the clause being compiled: a Period, or the
-    name that holds it (_EVENT_TIME at the root of a search, ?v inside
-    Perf[?v, ...] and Ntense[?v, ...]); inside Ntense[now, ...] it is
-    [st, st].  `lt` is the window: a point set, or, once a located variable
-    has narrowed it, a function of g that reads `lt_names`.
+    The root event time is given as a Period, or as the name that holds it
+    (_EVENT_TIME at the root of a search); it is ?v inside Perf[?v, ...]
+    and Ntense[?v, ...], and [st, st] inside Ntense[now, ...].  The root
+    window is a point set, narrowed by At, Before, After and Past.
     """
 
     def __init__(self, m: TopModel, st: int, et, lt: PointSet):
-        self.m = m
-        self.st = st
-        self.plan = CandidatePlan(m.domain.index)
+        super().__init__(m, st)
         self.tests = []
-        self.et = et
-        self.lt, self.lt_names = lt, ()
+        self.et = _constant(et) if type(et) is Period else (itemgetter(et), (et,))
+        self.lt = _constant(lt)
 
     def formula(self, f):
         compile = _FORMULAS.get(type(f))
@@ -274,55 +275,28 @@ class _Compiler:
             raise TypeError(f"not a TOP formula: {f!r}")
         compile(self, f)
 
-    def _test(self, check, names=(), reads_lt=False):
-        """Add check(et, lt, g), which reads the given names of g and, when
-        reads_lt, the window, as a test of g alone."""
-        et, lt = self.et, self.lt
-        if type(et) is Period:
-            at = lambda g: et
-        else:
-            at, names = itemgetter(et), (*names, et)
-        if reads_lt and self.lt_names:
-            self.tests.append((lambda g: check(at(g), lt(g), g),
-                               names + self.lt_names))
-        else:
-            self.tests.append((lambda g: check(at(g), lt, g), names))
+    def _test(self, fn, *operands):
+        """Add fn of the operands as a test, unless it folds to true."""
+        test, names = _lift(fn, *operands)
+        if type(test) is not _Fixed or not test.value:
+            self.tests.append((_closure(test), names))
 
-    def _under(self, f, et, lt, lt_names=()):
-        """Compile f, whose clauses read et and lt as their index."""
-        outer = self.et, self.lt, self.lt_names
-        self.et, self.lt, self.lt_names = et, lt, lt_names
+    def _under(self, f, et, lt):
+        """Compile f, whose clauses read the operands et and lt as their index."""
+        outer = self.et, self.lt
+        self.et, self.lt = et, lt
         self.formula(f)
-        self.et, self.lt, self.lt_names = outer
+        self.et, self.lt = outer
 
-    def _within(self, f, window, name=None):
-        """Compile f with lt narrowed by a window: a point set, or, given a
-        name, the function that maps that variable's value to one."""
-        lt, names = self.lt, self.lt_names
-        if name is not None:
-            if names:
-                narrowed = lambda g: intersect(lt(g), window(g[name]))
-            else:
-                narrowed = lambda g: intersect(lt, window(g[name]))
-            names += (name,)
-        elif names:
-            narrowed = lambda g: intersect(lt(g), window)
-        else:
-            narrowed = intersect(lt, window)
-        self._under(f, self.et, narrowed, names)
-
-    def _const(self, name):
-        if name not in self.m.consts:
-            raise UnknownConstant(f"unknown constant {name}")
-        return self.m.consts[name]
-
-    def _periods_only(self, name):
-        self.plan.restrict(name, self.plan.index.periods)
+    def _within(self, f, window):
+        """Compile f with lt narrowed by a window operand."""
+        self._under(f, self.et, _lift(intersect, self.lt, window))
 
     def _event_times(self, positions):
         """Narrow a searched event time to the domain positions(index)."""
-        if type(self.et) is not Period:
-            self.plan.restrict(self.et, positions(self.plan.index))
+        names = self.et[1]
+        if names:
+            self.plan.restrict(names[0], positions(self.plan.index))
 
     def _literal(self, f):
         self._situation(f, culm=False)
@@ -343,18 +317,15 @@ class _Compiler:
         pattern = tuple(a if type(a) is Var else self._const(a.name)
                         for a in lit.args)
         known = [(k, a) for k, a in enumerate(pattern) if type(a) is not Var]
-
-        def entries():
-            return [(args, ps) for args, ps in ext.items()
-                    if ps and (not culm or m.culm_flag(functor, n, args))]
-
-        self.plan.semijoin([args for args, _ in entries()], pattern)
+        entries = [(args, ps) for args, ps in ext.items()
+                   if ps and (not culm or m.culm_flag(functor, n, args))]
+        self.plan.semijoin([args for args, _ in entries], pattern)
 
         def event_times(index):
             # et lies within a maximal period, or under Culm is the hull,
             # of an entry that agrees with the constants
             out = []
-            for args, ps in entries():
+            for args, ps in entries:
                 if all(args[k] == a for k, a in known):
                     if culm:
                         lo, hi = min(p.lo for p in ps), max(p.hi for p in ps)
@@ -366,7 +337,7 @@ class _Compiler:
 
         self._event_times(event_times)
 
-        def holds(et, args):
+        def holds(args, et):
             ps = ext.get(args)
             if not ps:
                 return False
@@ -380,91 +351,69 @@ class _Compiler:
                     return True
             return False
 
-        self._test(_inside, reads_lt=True)
-        slots = [(k, a.name) for k, a in enumerate(lit.args) if type(a) is Var]
-        if not slots:
-            self._test(lambda et, lt, g: holds(et, pattern))
-            return
-
-        def situation(et, lt, g):
-            args = list(pattern)
-            for k, name in slots:
-                args[k] = g[name]
-            return holds(et, tuple(args))
-
-        self._test(situation, tuple(dict.fromkeys(name for _, name in slots)))
+        self._test(subper, self.et, self.lt)
+        self._test(holds, _row(pattern), self.et)
 
     def _and(self, f):
         for p in chain(f):
             self.formula(p)
 
     def _part(self, f):
-        part = self.m.partitioning(f.part)
-        if part is None:
-            raise UnknownPartitioning(f"unknown partitioning {f.part}")
-        name = f.var.name
-        self.plan.restrict(name, self.plan.index.positions(part.blocks))
-        blocks = frozenset(part.blocks)
-        self.tests.append((lambda g: g[name] in blocks, (name,)))
+        self._test(*self._in_part(f.part, f.var))
 
     def _pres(self, f):
         # st must fall within the event time; lt is not consulted
         st, last = self.st, self.m.timeline.t_last
         self._event_times(lambda index: index.period_positions(0, st, st, last))
-        self._test(lambda et, lt, g: et.lo <= st <= et.hi)
+        self._test(lambda et: et.lo <= st <= et.hi, self.et)
         self.formula(f.body)
 
     def _past(self, f):
         # narrow lt to the points before the speech time
-        name, st, now = f.var.name, self.st, self.et
+        name, st = f.var.name, self.st
         self._periods_only(name)
-        if type(now) is Period:
-            self.plan.restrict(name, self.plan.index.positions([now]))
-        else:  # ?v equals the event time, whichever of the two is bound first
-            self.plan.equal_to(name, [now], lambda g: g[now])
-            self.plan.equal_to(now, [name], lambda g: g[name])
-        self._test(lambda et, lt, g: g[name] == et, (name,))
-        self._within(f.body, Period(0, st - 1) if st > 0 else EMPTY)
+        var, (now, needs) = self.term(f.var), self.et
+        if needs:  # ?v equals the event time, whichever of the two is bound first
+            self.plan.equal_to(name, needs, now)
+            self.plan.equal_to(needs[0], (name,), var[0])
+        else:
+            self.plan.restrict(name, self.plan.index.positions([now.value]))
+        self._test(eq, var, self.et)
+        self._within(f.body, _constant(Period(0, st - 1) if st > 0 else EMPTY))
 
     def _located(self, f):
         """At, Before and After narrow lt by a window their term names."""
         t, last = type(f), self.m.timeline.t_last
 
         def window(v):
+            if type(v) is not Period:
+                return EMPTY  # and the clause's first test fails
             if t is At:
                 return v
             if t is Before:
                 return Period(0, v.lo - 1) if v.lo > 0 else EMPTY
             return Period(v.hi + 1, last) if v.hi < last else EMPTY
 
-        term = f.term
-        if type(term) is Var:
-            name = term.name
-            self._periods_only(name)
-            self.tests.append((lambda g: type(g[name]) is Period, (name,)))
-            self._within(f.body, window, name)
-            return
-        v = self._const(term.name)
-        if type(v) is Period:
-            self._within(f.body, window(v))
-        else:
-            self.tests.append((_never, ()))
-            self.formula(f.body)
+        if type(f.term) is Var:
+            self._periods_only(f.term.name)
+        term = self.term(f.term)
+        self._test(_is_period, term)
+        self._within(f.body, _lift(window, term))
 
     def _fills(self, f):
         # the event time must cover the whole window
-        self._test(lambda et, lt, g: et == lt, reads_lt=True)
+        self._test(eq, self.et, self.lt)
         self.formula(f.body)
 
     def _ntense(self, f):
-        full = self.m.timeline.full()
+        full = _constant(self.m.timeline.full())
         if f.var is None:
-            self._under(f.body, Period(self.st, self.st), full)
+            self._under(f.body, _constant(Period(self.st, self.st)), full)
             return
-        name = f.var.name
-        self._periods_only(name)
-        self.tests.append((lambda g: type(g[name]) is Period, (name,)))
-        self._under(f.body, name, full)
+        self._periods_only(f.var.name)
+        var = self.term(f.var)
+        self._test(_is_period, var)
+        self._under(f.body, var, full)
 
     def _for(self, f):
         part = self.m.cparts.get(f.cpart)
@@ -486,17 +435,17 @@ class _Compiler:
         self._event_times(lambda index: [
             i for lo, hi in spans.items()
             for i in index.period_positions(lo, lo, hi, hi)])
-        self._test(lambda et, lt, g: spans.get(et.lo) == et.hi)
+        self._test(lambda et: spans.get(et.lo) == et.hi, self.et)
         self.formula(f.body)
 
     def _perf(self, f):
         # the body holds at an earlier event time named by the variable
-        name = f.var.name
-        self._periods_only(name)
-        self._test(_inside, reads_lt=True)
-        self._test(lambda et, lt, g: type(v := g[name]) is Period
-                   and v.hi < et.lo, (name,))
-        self._under(f.body, name, self.m.timeline.full())
+        self._periods_only(f.var.name)
+        var = self.term(f.var)
+        self._test(subper, self.et, self.lt)
+        self._test(lambda v, et: type(v) is Period and v.hi < et.lo,
+                   var, self.et)
+        self._under(f.body, var, _constant(self.m.timeline.full()))
 
 
 _FORMULAS = {

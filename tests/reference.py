@@ -224,7 +224,14 @@ class _TopParser:
             part = self.ident("partitioning name")
             ts.expect(",")
             qty_tok = ts.expect(lexer.INT, "quantity")
-            qty = int(qty_tok.text)
+            cap = str(lexer.MAX_QUANTITY)
+            digits = qty_tok.text.lstrip("0") or "0"
+            # compared as digit strings of one length: no int() of a huge run
+            if (len(digits), digits) > (len(cap), cap):
+                raise ParseError(
+                    f"quantity must be at most {cap}", qty_tok.line, qty_tok.column
+                )
+            qty = int(digits)
             if qty < 1:
                 raise ParseError(
                     "quantity must be at least 1", qty_tok.line, qty_tok.column

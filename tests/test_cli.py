@@ -208,6 +208,15 @@ def test_deep_nesting_is_an_input_error(capsys):
         "error: line 1, column 1001: nesting deeper than 200 levels\n")
 
 
+def test_for_quantity_beyond_the_cap_is_an_input_error(capsys):
+    # translating builds about two conjuncts per block, so the parser
+    # refuses a quantity it could not translate within memory
+    for qty in ("10001", "9" * 5000):
+        assert main(["translate", f"For[minute, {qty}, q(a)]"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: line 1, column 13: quantity must be at most 10000\n")
+
+
 def test_nests_at_the_bot_cap_evaluate(capsys):
     # the BOT compiler takes one frame per nesting level, so every formula
     # the parser admits evaluates under the default recursion limit

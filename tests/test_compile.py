@@ -176,7 +176,8 @@ def _check_folding(m, f):
     """Each term, and each atom before `conjunct` wraps it, of every
     conjunct of f that m has all names for compiles to a folded value
     exactly when it names no variable, and that value is the reference's.
-    Returns how many parts were folded."""
+    The names the compiled part reads are its variables, in first-occurrence
+    order once repeats are dropped.  Returns how many parts were folded."""
     folded = 0
     for atom in bot.flatten(f):
         if reference.first_unknown(m, atom) is not None:
@@ -188,8 +189,9 @@ def _check_folding(m, f):
                       for e in _terms(atom)]
             for part, compile, value, terms in parts:
                 fixed = not any(type(t) is Var for t in terms)
-                x = compile(part)
+                x, names = compile(part)
                 where = (bot.print_bot(atom), part, st)
+                assert list(dict.fromkeys(names)) == bot.free_vars_ordered(part), where
                 assert (type(x) is bot._Fixed) is fixed, where
                 if fixed:
                     assert x.value == value(m, st, {}, part), where

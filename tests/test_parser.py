@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import reference
-from chronos import bot, top
+from chronos import bot, lexer, top
 from chronos.core import Var
 from bot_formulas import gen_bot_formula
 from chronos.equiv import GenParams, check_equivalence, gen_case
@@ -126,6 +126,18 @@ def test_errors_point_at_the_token_that_breaks_the_grammar():
         ParseError, "expected ], found 'end of input'", 1, 10)
     assert _outcome(bot.parse_bot, "subper(?e,\n  [beg, now]]") == (
         ParseError, "expected ), found ']'", 2, 13)
+
+
+def test_for_quantities_beyond_the_cap_fail_at_the_quantity():
+    """Checked before int(), which would refuse a run of over 4,300 digits
+    with a bare ValueError; leading zeros do not count."""
+    cap = lexer.MAX_QUANTITY
+    for qty in (cap, f"000{cap}", 1, "007"):
+        _same(top.parse_top, reference.parse_top, f"For[minute, {qty}, q(a)]")
+    for qty in (cap + 1, 99_999, "1" * 5000, f"000{cap + 1}"):
+        assert _same(top.parse_top, reference.parse_top,
+                     f"For[minute, {qty}, q(a)]") == (
+            ParseError, f"quantity must be at most {cap}", 1, 13)
 
 
 def test_deepest_top_nest_parses_prints_translates_and_evaluates(m0):

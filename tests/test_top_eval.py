@@ -383,6 +383,28 @@ def test_every_test_reads_only_its_scope(m0):
     assert counted["top"] >= 3500 and counted["bot"] >= 2500, counted
 
 
+def test_tests_with_an_empty_scope_are_false(m0):
+    """A TOP test that reads no name was folded while compiling; one folded
+    to true is left out, so every test left with an empty scope is false.
+    Compiled for a search and at a fixed index, as above."""
+    cases = [gen_case(GenParams(seed=42), i) for i in range(300)]
+    cases += [(m0.model, st, parse_top(text))
+              for text in M0_FORMULAS for st in (2, 7)]
+    empty = 0
+    for i, (m, st, f) in enumerate(cases):
+        rng = random.Random(f"empty-scopes/{i}")
+        periods = m.timeline.periods()
+        index = (rng.choice(periods), rng.choice(periods + [EMPTY]))
+        for et, lt in ((top._EVENT_TIME, m.timeline.full()), index):
+            compiler = top._Compiler(m, st, et, lt)
+            compiler.formula(f)
+            for test, scope in compiler.tests:
+                if not scope:
+                    assert test({}) is False, (top.print_top(f), st, et, lt)
+                    empty += 1
+    assert empty >= 300, empty
+
+
 def test_unknown_names_raise_when_compiled(m0):
     """As in BOT: a formula naming something the model lacks raises before
     the search or evaluation starts, although here no value satisfies the
