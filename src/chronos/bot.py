@@ -426,7 +426,10 @@ class _Compiler(Compiler):
         if t is Literal:
             return self._literal(f)
         if t is Subper:
-            return _lift(_subper, self._operand(f.left), self._operand(f.right))
+            left, right = self._operand(f.left), self._operand(f.right)
+            if type(f.left) is TermRef and type(f.left.term) is Var:
+                self._inside(f.left.term.name, f.right, right[0])
+            return _lift(_subper, left, right)
         if t is Eq:
             a, b = self.term(f.left), self.term(f.right)
             for v, (other, needs) in ((f.left, b), (f.right, a)):
@@ -451,6 +454,14 @@ class _Compiler(Compiler):
             self._periods_only(e.term.name)
             return self.term(e.term)
         return self.term(_period(e))
+
+    def _inside(self, name, e, window):
+        """subper(?name, e): name takes only the subperiods of e folded to
+        a window, or of the static candidates of a variable e."""
+        if type(window) is _Fixed:
+            self.plan.within(name, [window.value])
+        elif type(e) is TermRef and type(e.term) is Var:
+            self.plan.inside(name, e.term.name)
 
     def _literal(self, f):
         tuples = self.m.true_tuples(f.functor, len(f.args))

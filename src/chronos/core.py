@@ -10,12 +10,13 @@ evaluators of both languages propagate them.
 The records, models and domain indexes here are immutable after
 construction and safe to share across threads.  `CandidatePlan` and
 `Compiler` are not: compiling a formula narrows its plan in place
-(`restrict`, `equal_to`, `semijoin`), so each belongs to one compile and
-the search that follows it.
+(`restrict`, `within`, `inside`, `equal_to`, `semijoin`), so each belongs
+to one compile and the search that follows it.
 """
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, total_ordering
+from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Iterator, Union
 
@@ -472,20 +473,18 @@ class Partitioning(Record):
 
 
 class DomainIndex:
-    """A domain listed in enumeration order, with the positions of its
-    objects and of its periods."""
+    """A domain listed in enumeration order, and its sets of objects as
+    masks: an int whose bit i stands for objects[i].  Ascending bit order
+    is domain order, so the members of a mask come in domain order with no
+    sort.  `periods` is the mask of every period."""
 
     __slots__ = ("objects", "periods", "_atoms", "_size")
 
     def __init__(self, atoms: tuple, timeline: Timeline):
         self.objects = [*atoms, *_periods(timeline.size)]
-        self.periods = range(len(atoms), len(self.objects))
+        self.periods = (1 << len(self.objects)) - (1 << len(atoms))
         self._atoms = {a: i for i, a in enumerate(atoms)}
         self._size = timeline.size
-
-    def _period(self, lo: int, hi: int) -> int:
-        # the periods come by (lo, hi): those starting before lo, then lo's
-        return len(self._atoms) + lo * self._size - lo * (lo - 1) // 2 + hi - lo
 
     def position(self, o):
         """o's position in objects, or None when o is not in the domain."""
@@ -493,18 +492,54 @@ class DomainIndex:
             return self._atoms.get(o)
         if o.hi >= self._size:
             return None
-        return self._period(o.lo, o.hi)
+        # the periods come by (lo, hi): those starting before lo, then lo's
+        lo = o.lo
+        return len(self._atoms) + lo * self._size - lo * (lo - 1) // 2 + o.hi - lo
 
-    def positions(self, values) -> set:
-        """The positions of those of values that are in the domain."""
-        return set(map(self.position, values)) - {None}
+    def mask(self, values) -> int:
+        """The mask of those of values that are in the domain."""
+        mask = 0
+        for i in map(self.position, values):
+            if i is not None:
+                mask |= 1 << i
+        return mask
 
-    def period_positions(self, lo: int, lo_last: int, hi: int, hi_last: int):
-        """Positions, in order, of the periods [a, b] of the timeline with
+    def period_mask(self, lo: int, lo_last: int, hi: int, hi_last: int) -> int:
+        """The mask of the periods [a, b] of the timeline with
         lo <= a <= lo_last and hi <= b <= hi_last; no Period is built."""
-        hi_last = min(hi_last, self._size - 1)
-        return [i for a in range(lo, lo_last + 1) for i in range(
-            self._period(a, max(a, hi)), self._period(a, hi_last) + 1)]
+        return _period_runs(self._size, lo, lo_last, hi, hi_last) << len(self._atoms)
+
+    def subperiods(self, windows) -> int:
+        """The mask of the subperiods of the periods among windows: one
+        period_mask per run of first points that share their last one."""
+        mask, start, end = 0, 0, -1  # the subperiods of [start, end] are to add
+        for w in sorted(w for w in windows if type(w) is Period):
+            if w.hi > end:
+                mask |= self.period_mask(start, min(w.lo - 1, end), start, end)
+                start, end = w.lo, w.hi
+        return mask | self.period_mask(start, end, start, end)
+
+    def members(self, mask: int) -> list:
+        """The objects of a mask, in domain order."""
+        bits = bin(mask)[:1:-1].encode().translate(_BITS)  # lowest first
+        return list(compress(self.objects, bits))
+
+
+#: binary digits as the bytes 0 and 1, the selectors `compress` reads
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+@lru_cache(maxsize=256)
+def _period_runs(size: int, lo: int, lo_last: int, hi: int, hi_last: int) -> int:
+    """DomainIndex.period_mask over no atoms, cached per timeline size: the
+    periods starting at one point a are one run of bits."""
+    mask, hi_last = 0, min(hi_last, size - 1)
+    for a in range(lo, min(lo_last, hi_last) + 1):
+        first = max(a, hi)  # the first period taken from [a, a], [a, a+1], ...
+        if first <= hi_last:
+            start = a * size - a * (a - 1) // 2 + first - a
+            mask |= ((1 << (hi_last - first + 1)) - 1) << start
+    return mask
 
 
 class ObjectDomain(Record):
@@ -618,23 +653,35 @@ class CandidatePlan:
 
     A compiler narrows the plan as it compiles a formula, with filters
     that every satisfying assignment passes, so dropping the rest loses
-    no witness.  Candidates keep domain order, which keeps the first
-    witness the one plain nested enumeration over the whole domain finds.
-    A filter that reads other variables narrows a variable only where
-    `search` binds them before it.
+    no witness.  A variable's static candidates are one mask of the
+    domain index (see `DomainIndex`); an unrestricted variable has none
+    and takes the whole domain.  Candidates keep domain order, which
+    keeps the first witness the one plain nested enumeration over the
+    whole domain finds.  A filter that reads other variables narrows a
+    variable only where `search` binds them before it.
     """
 
     def __init__(self, index: DomainIndex):
         self.index = index
-        self._static = {}  # name -> allowed domain positions
+        self._static = {}  # name -> mask of its allowed values
         self._joins = []  # (matching tuples, args) of each semijoin
         self._equal = []  # (name, needs, value) of each equal_to
+        self._inside = []  # (name, other) of each inside
 
-    def restrict(self, name, positions) -> None:
-        """Restrict a variable to the given domain positions."""
+    def restrict(self, name, mask: int) -> None:
+        """Restrict a variable to the values of a mask."""
         old = self._static.get(name)
-        self._static[name] = (set(positions) if old is None
-                              else old.intersection(positions))
+        self._static[name] = mask if old is None else old & mask
+
+    def within(self, name, windows) -> None:
+        """Restrict a variable to the subperiods of the given windows; a
+        window that is no Period allows none."""
+        self.restrict(name, self.index.subperiods(windows))
+
+    def inside(self, name, other) -> None:
+        """Restrict a variable, before the search, to the subperiods of
+        the static candidates of other: one arc of subper(name, other)."""
+        self._inside.append((name, other))
 
     def equal_to(self, name, needs, value) -> None:
         """Restrict a variable to {value(g)} where all names in needs are
@@ -664,7 +711,7 @@ class CandidatePlan:
         ]
         for j, v in enumerate(args):
             if type(v) is Var and args.index(v) == j:
-                self.restrict(v.name, self.index.positions(t[j] for t in rows))
+                self.restrict(v.name, self.index.mask(t[j] for t in rows))
         self._joins.append((rows, args))
 
     def search(self, tests: list):
@@ -676,9 +723,15 @@ class CandidatePlan:
         each test runs, in list order, as soon as the last of its names is
         bound, with exactly the names up to that one in g; the first that
         fails cuts the branch.  This is the one depth-first search behind
-        both witness searches.  A name with no static candidate stops it
-        before it starts, with no test run.
+        both witness searches.  The arcs of `inside` narrow first, in the
+        order they were given.  A name with no static candidate stops the
+        search before it starts, with no test run.
         """
+        index = self.index
+        for name, other in self._inside:
+            windows = self._static.get(other)
+            if windows is not None:
+                self.within(name, index.members(windows))
         order = list(dict.fromkeys(n for _, names in tests for n in names))
         last = len(order)
         level = {name: i for i, name in enumerate(order)}
@@ -686,7 +739,7 @@ class CandidatePlan:
         for test, names in tests:
             checks[max((level[n] + 1 for n in names), default=0)].append(test)
         static = [self._static.get(name) for name in order]
-        if any(s is not None and not s for s in static):
+        if 0 in static:
             return None
         dynamic = [[] for _ in order]  # callables g -> set of values
         for name, needs, value in self._equal:
@@ -709,18 +762,17 @@ class CandidatePlan:
                             if all(t[k] == g[n] for k, n in bound)
                         }
                     )
-        index = self.index
-        objects = index.objects
+        objects, members = index.objects, index.members
 
         def candidates(i):
-            positions = static[i]
+            mask = static[i]
             if dynamic[i]:
                 values = set.intersection(*(narrow(g) for narrow in dynamic[i]))
-                narrowed = index.positions(values)
-                positions = narrowed if positions is None else narrowed & positions
-            elif positions is None:
+                narrowed = index.mask(values)
+                mask = narrowed if mask is None else narrowed & mask
+            elif mask is None:
                 return objects
-            return [objects[p] for p in sorted(positions)]
+            return members(mask)
 
         g = {}
         # candidates that read no other variable, listed once
@@ -861,7 +913,7 @@ class Compiler:
         if part is None:
             raise UnknownPartitioning(f"unknown partitioning {name}")
         if type(t) is Var:
-            self.plan.restrict(t.name, self.plan.index.positions(part.blocks))
+            self.plan.restrict(t.name, self.plan.index.mask(part.blocks))
         blocks = frozenset(part.blocks)
         return (lambda v: type(v) is Period and v in blocks), self.term(t)
 

@@ -18,7 +18,7 @@ a formula can name whatever a model file declares.  Constants must be
 declared before they are used in maximal/culm argument lists.  Unlisted
 predicate tuples denote the empty period set and a false culmination flag.
 A file compiles only if the resulting model passes validate_model and the
-speech time lies on the timeline.
+speech time lies on the timeline.  No number in a file exceeds MAX_TIMELINE.
 """
 from __future__ import annotations
 
@@ -36,6 +36,11 @@ from .core import (
     validate_model,
 )
 from .lexer import is_identifier
+
+
+#: the longest timeline, and so the largest number, a model file takes: a
+#: timeline of n points has n(n+1)/2 periods, and a search may list them all
+MAX_TIMELINE = 1000
 
 
 class ModelFileError(Exception):
@@ -72,6 +77,20 @@ _TUPLE_RE = re.compile(rf"({_IDENT})\s*\(\s*(.*?)\s*\)\s*=\s*(.+)")
 _BLOCKS_RE = re.compile(rf"blocks\s+({_NUMBER})")
 
 
+#: a number of more digits, leading zeros aside, is over MAX_TIMELINE
+_MAX_DIGITS = len(str(MAX_TIMELINE))
+
+
+def _number(text: str, lineno: int) -> int:
+    """A run of ASCII digits as an int of at most MAX_TIMELINE; its length
+    is checked first, as int() refuses more than 4,300 digits."""
+    if len(text) <= _MAX_DIGITS or len(text.lstrip("0")) <= _MAX_DIGITS:
+        value = int(text)
+        if value <= MAX_TIMELINE:
+            return value
+    raise ModelFileError(f"numbers are at most {MAX_TIMELINE}", lineno)
+
+
 def _parse_periods(text: str, lineno: int) -> list:
     periods = []
     rest = text
@@ -79,7 +98,7 @@ def _parse_periods(text: str, lineno: int) -> list:
         mm = _PERIOD_RE.match(rest)
         if not mm:
             raise ModelFileError(f"expected period list, found {rest!r}", lineno)
-        lo, hi = int(mm.group(1)), int(mm.group(2))
+        lo, hi = _number(mm.group(1), lineno), _number(mm.group(2), lineno)
         if lo > hi:
             raise ModelFileError(f"invalid period [{lo},{hi}]", lineno)
         periods.append(Period(lo, hi))
@@ -112,16 +131,17 @@ class _Compiler:
     def _d_timeline(self, lineno, rest):
         if self.size is not None:
             raise ModelFileError("timeline declared twice", lineno)
-        if not _NUMBER_RE.fullmatch(rest) or int(rest) < 1:
+        size = _number(rest, lineno) if _NUMBER_RE.fullmatch(rest) else 0
+        if size < 1:
             raise ModelFileError("timeline needs a positive size", lineno)
-        self.size = int(rest)
+        self.size = size
 
     def _d_speech(self, lineno, rest):
         if self.speech is not None:
             raise ModelFileError("speech declared twice", lineno)
         if not _NUMBER_RE.fullmatch(rest):
             raise ModelFileError("speech needs a time-point", lineno)
-        self.speech = int(rest)
+        self.speech = _number(rest, lineno)
 
     def _d_object(self, lineno, rest):
         if not is_identifier(rest):
@@ -147,7 +167,7 @@ class _Compiler:
         m = _PRED_RE.fullmatch(rest)
         if not m or not is_identifier(m[1]):
             raise ModelFileError("expected: pred name/arity", lineno)
-        name, arity = m.group(1), int(m.group(2))
+        name, arity = m.group(1), _number(m.group(2), lineno)
         if arity < 1:
             raise ModelFileError("predicates take at least one argument", lineno)
         if name in self.pred_arity:
@@ -205,7 +225,7 @@ class _Compiler:
                 raise ModelFileError("blocks form is for cpart only", lineno)
             if self.size is None:
                 raise ModelFileError("declare timeline before blocks", lineno)
-            k = int(bm.group(1))
+            k = _number(bm.group(1), lineno)
             if k < 1 or self.size % k != 0:
                 raise ModelFileError(
                     f"block length {k} must divide timeline size {self.size}",

@@ -292,11 +292,19 @@ class _Compiler(Compiler):
         """Compile f with lt narrowed by a window operand."""
         self._under(f, self.et, _lift(intersect, self.lt, window))
 
-    def _event_times(self, positions):
-        """Narrow a searched event time to the domain positions(index)."""
+    def _event_times(self, mask):
+        """Narrow a searched event time to the values of mask(index)."""
         names = self.et[1]
         if names:
-            self.plan.restrict(names[0], positions(self.plan.index))
+            self.plan.restrict(names[0], mask(self.plan.index))
+
+    def _fits(self):
+        """Test that et lies within lt; a searched et first takes only the
+        subperiods of a folded lt."""
+        (window, _), (_, names) = self.lt, self.et
+        if names and type(window) is _Fixed:
+            self.plan.within(names[0], [window.value])
+        self._test(subper, self.et, self.lt)
 
     def _literal(self, f):
         self._situation(f, culm=False)
@@ -324,16 +332,12 @@ class _Compiler(Compiler):
         def event_times(index):
             # et lies within a maximal period, or under Culm is the hull,
             # of an entry that agrees with the constants
-            out = []
-            for args, ps in entries:
-                if all(args[k] == a for k, a in known):
-                    if culm:
-                        lo, hi = min(p.lo for p in ps), max(p.hi for p in ps)
-                        out += index.period_positions(lo, lo, hi, hi)
-                    else:
-                        for p in ps:
-                            out += index.period_positions(p.lo, p.hi, p.lo, p.hi)
-            return out
+            matching = [ps for args, ps in entries
+                        if all(args[k] == a for k, a in known)]
+            if culm:
+                return index.mask(Period(min(p.lo for p in ps),
+                                         max(p.hi for p in ps)) for ps in matching)
+            return index.subperiods(p for ps in matching for p in ps)
 
         self._event_times(event_times)
 
@@ -351,7 +355,7 @@ class _Compiler(Compiler):
                     return True
             return False
 
-        self._test(subper, self.et, self.lt)
+        self._fits()
         self._test(holds, _row(pattern), self.et)
 
     def _and(self, f):
@@ -364,7 +368,7 @@ class _Compiler(Compiler):
     def _pres(self, f):
         # st must fall within the event time; lt is not consulted
         st, last = self.st, self.m.timeline.t_last
-        self._event_times(lambda index: index.period_positions(0, st, st, last))
+        self._event_times(lambda index: index.period_mask(0, st, st, last))
         self._test(lambda et: et.lo <= st <= et.hi, self.et)
         self.formula(f.body)
 
@@ -377,7 +381,7 @@ class _Compiler(Compiler):
             self.plan.equal_to(name, needs, now)
             self.plan.equal_to(needs[0], (name,), var[0])
         else:
-            self.plan.restrict(name, self.plan.index.positions([now.value]))
+            self.plan.restrict(name, self.plan.index.mask([now.value]))
         self._test(eq, var, self.et)
         self._within(f.body, _constant(Period(0, st - 1) if st > 0 else EMPTY))
 
@@ -432,9 +436,8 @@ class _Compiler(Compiler):
                     break
             else:
                 spans[lo] = p.hi
-        self._event_times(lambda index: [
-            i for lo, hi in spans.items()
-            for i in index.period_positions(lo, lo, hi, hi)])
+        self._event_times(lambda index: index.mask(
+            Period(lo, hi) for lo, hi in spans.items()))
         self._test(lambda et: spans.get(et.lo) == et.hi, self.et)
         self.formula(f.body)
 
@@ -442,7 +445,7 @@ class _Compiler(Compiler):
         # the body holds at an earlier event time named by the variable
         self._periods_only(f.var.name)
         var = self.term(f.var)
-        self._test(subper, self.et, self.lt)
+        self._fits()
         self._test(lambda v, et: type(v) is Period and v.hi < et.lo,
                    var, self.et)
         self._under(f.body, var, _constant(self.m.timeline.full()))

@@ -125,6 +125,18 @@ def test_non_ascii_digits_are_input_errors(tmp_path, capsys):
         assert err == "error: line 1: timeline needs a positive size\n"
 
 
+def test_model_numbers_over_the_cap_are_input_errors(tmp_path, capsys):
+    """A timeline too long to list its periods, or a number int() refuses,
+    exits 1 with the line and no traceback."""
+    model = tmp_path / "long.tmodel"
+    for text, line in (("timeline 100000\nspeech 1\n", 1),
+                       ("timeline 5\nspeech " + "7" * 5000 + "\n", 2)):
+        model.write_text(text)
+        assert main(["eval", str(model), "top", "q(a)"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: line {line}: numbers are at most 1000\n")
+
+
 def test_check_reports_and_exit_codes(capsys):
     assert main(["check", "--seed", "42", "--cases", "40"]) == 0
     first = capsys.readouterr().out

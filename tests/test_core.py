@@ -99,17 +99,42 @@ def test_period_positions_match_enumeration():
     index = ObjectDomain(Timeline(5), ("x", "y")).index
     periods = Timeline(5).periods()
     for lo, lo_last, hi, hi_last in itertools.product(range(6), repeat=4):
-        expected = [
-            index.position(p) for p in periods
+        expected = sum(
+            1 << index.position(p) for p in periods
             if lo <= p.lo <= lo_last and hi <= p.hi <= hi_last
-        ]
-        assert index.period_positions(lo, lo_last, hi, hi_last) == expected
+        )
+        assert index.period_mask(lo, lo_last, hi, hi_last) == expected
+
+
+def test_members_come_in_domain_order():
+    index = ObjectDomain(Timeline(4), ("b", "a")).index
+    objects = index.objects
+    assert index.members(0) == []
+    assert index.members(index.periods) == Timeline(4).periods()
+    assert index.members((1 << len(objects)) - 1) == objects
+    for picks in itertools.combinations(range(len(objects)), 3):
+        mask = sum(1 << i for i in picks)
+        assert index.members(mask) == [objects[i] for i in sorted(picks)]
+        assert index.mask(reversed(index.members(mask))) == mask
+
+
+def test_subperiods_of_windows_match_enumeration():
+    """The union of the windows' subperiods, however they overlap; what is
+    no period of the timeline adds nothing."""
+    index = ObjectDomain(Timeline(5), ("x",)).index
+    periods = Timeline(5).periods()
+    for windows in itertools.combinations(periods + [EMPTY, "x"], 3):
+        expected = index.mask(
+            p for p in periods if any(subper(p, w) for w in windows
+                                      if type(w) is Period))
+        assert index.subperiods(windows) == expected, windows
+    assert index.subperiods([]) == 0
 
 
 def test_search_stops_at_an_empty_level():
     """A name with no static candidate ends the search before any check."""
     plan = CandidatePlan(ObjectDomain(Timeline(3), ("a", "b")).index)
-    plan.restrict("y", [])
+    plan.restrict("y", 0)
     calls = []
 
     def check(g):

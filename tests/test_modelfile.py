@@ -5,6 +5,7 @@ from chronos.core import Period
 from chronos.lexer import EOF, IDENT, ParseError, is_identifier
 from tokens import tokenize
 from chronos.modelfile import (
+    MAX_TIMELINE,
     ModelFileError,
     ModelValidationError,
     format_model,
@@ -108,6 +109,34 @@ def test_numbers_take_ascii_digits_only(text, fragment, digit):
         parse_model(text.format(d=digit))
     assert fragment in str(err.value)
     assert err.value.line == text.count("\n", 0, text.index("{d}")) + 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "timeline {n}\nspeech 1\n",
+        "timeline 5\nspeech {n}\n",
+        "timeline 5\nspeech 1\nperiodconst p = [1,{n}]\n",
+        "timeline 5\nspeech 1\npred q/{n}\n",
+        "timeline 5\nspeech 1\ncpart c = blocks {n}\n",
+    ],
+)
+@pytest.mark.parametrize("n", [MAX_TIMELINE + 1, 100_000, "9" * 5000])
+def test_numbers_over_the_cap_are_refused_at_their_line(text, n):
+    """Every number is at most MAX_TIMELINE, also one int() would refuse."""
+    with pytest.raises(ModelFileError) as err:
+        parse_model(text.format(n=n))
+    assert f"numbers are at most {MAX_TIMELINE}" in str(err.value)
+    assert err.value.line == text.count("\n", 0, text.index("{n}")) + 1
+
+
+def test_the_longest_timeline_compiles():
+    cm = parse_model(f"timeline {MAX_TIMELINE}\nspeech {MAX_TIMELINE - 1}\n"
+                     f"periodconst p = [0,{MAX_TIMELINE - 1}]\n"
+                     f"cpart c = blocks 0{MAX_TIMELINE}\n")
+    assert cm.model.timeline.size == MAX_TIMELINE
+    assert cm.model.consts["p"] == P(0, MAX_TIMELINE - 1)
+    assert cm.model.cparts["c"].blocks == (P(0, MAX_TIMELINE - 1),)
 
 
 def test_error_carries_line_number():
