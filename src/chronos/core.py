@@ -724,20 +724,30 @@ class CandidatePlan:
         bound, with exactly the names up to that one in g; the first that
         fails cuts the branch.  This is the one depth-first search behind
         both witness searches.  The arcs of `inside` narrow first, in the
-        order they were given.  A name with no static candidate stops the
-        search before it starts, with no test run.
+        order they were given.  The tests read every name restricted or in
+        an arc, so a name with no value, before or after the arcs, ends the
+        search with no test run.  A level is listed when first reached.
         """
+        if 0 in self._static.values():
+            return None
         index = self.index
         for name, other in self._inside:
             windows = self._static.get(other)
             if windows is not None:
                 self.within(name, index.members(windows))
-        order = list(dict.fromkeys(n for _, names in tests for n in names))
-        last = len(order)
-        level = {name: i for i, name in enumerate(order)}
-        checks = [[] for _ in range(last + 1)]
+        order, level, checks = [], {}, [[]]
         for test, names in tests:
-            checks[max((level[n] + 1 for n in names), default=0)].append(test)
+            deepest = 0  # the number of names bound when the test runs
+            for name in names:
+                i = level.get(name)
+                if i is None:
+                    i = level[name] = len(order)
+                    order.append(name)
+                    checks.append([])
+                if i >= deepest:
+                    deepest = i + 1
+            checks[deepest].append(test)
+        last = len(order)
         static = [self._static.get(name) for name in order]
         if 0 in static:
             return None
@@ -769,14 +779,12 @@ class CandidatePlan:
             if dynamic[i]:
                 values = set.intersection(*(narrow(g) for narrow in dynamic[i]))
                 narrowed = index.mask(values)
-                mask = narrowed if mask is None else narrowed & mask
-            elif mask is None:
-                return objects
-            return members(mask)
+                return members(narrowed if mask is None else narrowed & mask)
+            fixed[i] = objects if mask is None else members(mask)
+            return fixed[i]
 
         g = {}
-        # candidates that read no other variable, listed once
-        fixed = [None if dynamic[i] else candidates(i) for i in range(last)]
+        fixed = [None] * last  # candidates that read no variable, once listed
         stack = []  # for each bound name, an iterator over its further values
         while True:
             depth = len(stack)
@@ -786,8 +794,7 @@ class CandidatePlan:
             else:
                 if depth == last:
                     return dict(g)
-                values = fixed[depth]
-                stack.append(iter(candidates(depth) if values is None else values))
+                stack.append(iter(fixed[depth] or candidates(depth)))
             while stack:  # bind the deepest name that has a value left
                 name = order[len(stack) - 1]
                 value = next(stack[-1], None)  # no object is None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import accumulate
 
 from . import bot, top
 from .core import (
@@ -81,11 +82,11 @@ def _random_maximal_periods(rng, size, cap):
     """1..cap periods, left to right, separated by gaps of at least one point."""
     periods = []
     cursor = 0
-    for _ in range(rng.randint(1, cap)):
+    for _ in range(rng.randrange(1, cap + 1)):
         if cursor > size - 1:
             break
-        lo = rng.randint(cursor, size - 1)
-        hi = rng.randint(lo, size - 1)
+        lo = rng.randrange(cursor, size)
+        hi = rng.randrange(lo, size)
         periods.append(Period(lo, hi))
         cursor = hi + 2
     return frozenset(periods)
@@ -95,7 +96,7 @@ def _random_tiling(rng, size):
     blocks = []
     lo = 0
     while lo < size:
-        hi = rng.randint(lo, size - 1)
+        hi = rng.randrange(lo, size)
         blocks.append(Period(lo, hi))
         lo = hi + 1
     return blocks
@@ -106,22 +107,22 @@ def gen_model(params: GenParams, rng=None) -> TopModel:
     partitioning and a non-empty extension for every predicate."""
     if rng is None:
         rng = random.Random(params.seed)
-    size = rng.randint(min(3, params.timeline_size), params.timeline_size)
+    size = rng.randrange(min(3, params.timeline_size), params.timeline_size + 1)
     timeline = Timeline(size)
 
-    atoms = tuple(f"obj{i}" for i in range(rng.randint(1, params.atom_count)))
+    atoms = tuple(f"obj{i}" for i in range(rng.randrange(1, params.atom_count + 1)))
     consts = {a: a for a in atoms}
-    for i in range(rng.randint(1, 2)):
-        lo = rng.randint(0, size - 1)
-        consts[f"t{i}"] = Period(lo, rng.randint(lo, size - 1))
+    for i in range(rng.randrange(1, 3)):
+        lo = rng.randrange(0, size)
+        consts[f"t{i}"] = Period(lo, rng.randrange(lo, size))
 
     preds = {}
     culms = {}
-    for k in range(rng.randint(1, params.pred_count)):
-        arity = rng.randint(1, params.max_arity)
+    for k in range(rng.randrange(1, params.pred_count + 1)):
+        arity = rng.randrange(1, params.max_arity + 1)
         ext = {}
         flags = {}
-        for _ in range(rng.randint(1, 2)):
+        for _ in range(rng.randrange(1, 3)):
             args = tuple(rng.choice(atoms) for _ in range(arity))
             if args in ext:
                 continue
@@ -136,7 +137,7 @@ def gen_model(params: GenParams, rng=None) -> TopModel:
 
     tiling = _random_tiling(rng, size)
     if len(tiling) >= 2:
-        keep = max(1, rng.randint(1, len(tiling) - 1))
+        keep = max(1, rng.randrange(1, len(tiling)))
         kept = rng.sample(tiling, keep)
     else:
         kept = [Period(0, 0)] if size >= 2 else []
@@ -172,6 +173,9 @@ _OP_WEIGHTS = [
     ("for", 4),
     ("part", 3),
 ]
+# what `choices` rebuilds from weights on every draw, built once
+_OPS = [op for op, _ in _OP_WEIGHTS]
+_CUM_WEIGHTS = list(accumulate(w for _, w in _OP_WEIGHTS))
 
 
 def gen_formula(params: GenParams, model: TopModel, rng=None):
@@ -179,7 +183,7 @@ def gen_formula(params: GenParams, model: TopModel, rng=None):
     toward Past/At/literals so satisfiable cases stay frequent."""
     if rng is None:
         rng = random.Random(params.seed)
-    pool = [f"x{i}" for i in range(rng.randint(1, params.max_free_vars))]
+    pool = [f"x{i}" for i in range(rng.randrange(1, params.max_free_vars + 1))]
     preds = sorted(model.preds)
     atom_consts = sorted(n for n, v in model.consts.items() if isinstance(v, str))
     period_consts = sorted(
@@ -187,7 +191,6 @@ def gen_formula(params: GenParams, model: TopModel, rng=None):
     )
     part_names = sorted(model.cparts) + sorted(model.gparts)
     cpart_names = sorted(model.cparts)
-    ops, weights = zip(*_OP_WEIGHTS)
 
     def var():
         return Var(rng.choice(pool))
@@ -210,7 +213,7 @@ def gen_formula(params: GenParams, model: TopModel, rng=None):
             if rng.random() < 0.15:
                 return top.Part(rng.choice(part_names), var())
             return literal()
-        op = rng.choices(ops, weights=weights)[0]
+        op = rng.choices(_OPS, cum_weights=_CUM_WEIGHTS)[0]
         if op == "literal":
             return literal()
         if op == "part":
@@ -237,9 +240,9 @@ def gen_formula(params: GenParams, model: TopModel, rng=None):
             if rng.random() < 0.4:
                 return top.Ntense(None, build(depth - 1))
             return top.Ntense(var(), build(depth - 1))
-        return top.For(rng.choice(cpart_names), rng.randint(1, 2), build(depth - 1))
+        return top.For(rng.choice(cpart_names), rng.randrange(1, 3), build(depth - 1))
 
-    return build(rng.randint(1, params.max_depth))
+    return build(rng.randrange(1, params.max_depth + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Command-line behavior: output, diagnostics, and exit codes."""
+import hashlib
 from pathlib import Path
 
 from chronos import cli
@@ -289,3 +290,14 @@ def test_model_files_declare_non_ascii_names(tmp_path, capsys):
         model.write_text(f"timeline 4\nspeech 3\nobject {name}\n", encoding="utf-8")
         assert main(["eval", str(model), "top", "p(a)"]) == 1
         assert capsys.readouterr().err == f"error: line 3: bad object name {name!r}\n"
+
+
+def test_mutation_report_is_pinned(capsys):
+    """The seed 42 report under drop-past-narrowing, byte for byte: its
+    disagreements, their shrunk cases and the summary line."""
+    assert main(["check", "--seed", "42", "--cases", "1000",
+                 "--mutate", "drop-past-narrowing"]) == 3
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 40
+    assert (hashlib.sha1(out.encode()).hexdigest()
+            == "1975ee13968f6aaf5901c04bb2c52fd5616aae07")

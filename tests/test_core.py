@@ -9,6 +9,7 @@ from chronos.core import (
     EMPTY,
     GAPPY,
     CandidatePlan,
+    DomainIndex,
     EtaMapping,
     FunctorCollision,
     ObjectDomain,
@@ -148,6 +149,51 @@ def test_search_stops_at_an_empty_level():
     open_plan = CandidatePlan(plan.index)
     assert open_plan.search(tests) == {"x": "a", "y": "a"}
     assert calls
+
+
+@pytest.fixture
+def listed(monkeypatch):
+    """The masks DomainIndex.members is asked to list, in call order."""
+    masks = []
+    members = DomainIndex.members
+
+    def counting(self, mask):
+        masks.append(mask)
+        return members(self, mask)
+
+    monkeypatch.setattr(DomainIndex, "members", counting)
+    return masks
+
+
+def test_search_exits_on_an_empty_name_before_any_arc(listed):
+    """A name restricted to no value ends the search before the arcs of
+    `inside` list their windows, and before any test runs."""
+    index = ObjectDomain(Timeline(3), ("a",)).index
+    plan = CandidatePlan(index)
+    plan.restrict("w", index.mask([P(0, 1)]))
+    plan.inside("e", "w")
+    plan.restrict("x", 0)
+    calls = []
+
+    def check(g):
+        calls.append(dict(g))
+        return True
+
+    tests = [(check, ("w",)), (check, ("w", "e")), (check, ("x",))]
+    assert plan.search(tests) is None
+    assert calls == [] and listed == []
+
+
+def test_search_lists_a_level_only_when_it_reaches_it(listed):
+    """x's one value fails its test, so y's level is never listed."""
+    index = ObjectDomain(Timeline(3), ("a", "b")).index
+    plan = CandidatePlan(index)
+    only_a = index.mask(["a"])
+    plan.restrict("x", only_a)
+    plan.restrict("y", index.periods)
+    tests = [(lambda g: False, ("x",)), (lambda g: True, ("x", "y"))]
+    assert plan.search(tests) is None
+    assert listed == [only_a]
 
 
 def test_search_runs_each_test_once_its_last_name_is_bound():

@@ -6,7 +6,12 @@ import random
 import pytest
 
 from chronos import bot, equiv, top
-from chronos.core import UnknownConstant, derive_bot_model, validate_model
+from chronos.core import (
+    CandidatePlan,
+    UnknownConstant,
+    derive_bot_model,
+    validate_model,
+)
 from chronos.equiv import (
     GenParams,
     Verdict,
@@ -163,6 +168,31 @@ def test_witnesses_are_pinned_on_wide_cases():
         bot_witness = bot.denot_bot_witness(derive_bot_model(m), st, translate(f))
         h.update(repr((top_witness, bot_witness)).encode())
     assert h.hexdigest() == WIDE_WITNESS_DIGEST
+
+
+def test_compilers_restrict_only_names_their_tests_read(monkeypatch):
+    """What lets `CandidatePlan.search` stop at an empty name before it
+    builds anything: every name a compiler restricts, and both names of
+    every `inside` arc, are read by a test of the same search (for TOP,
+    the leading test that binds the event time included)."""
+    search = CandidatePlan.search
+    searches = []
+
+    def checking(plan, tests):
+        read = {n for _, names in tests for n in names}
+        assert set(plan._static) <= read
+        assert {n for arc in plan._inside for n in arc} <= read
+        searches.append(plan)
+        return search(plan, tests)
+
+    monkeypatch.setattr(CandidatePlan, "search", checking)
+    for seed in (42, 4):
+        params = GenParams(seed=seed)
+        for i in range(300):
+            m, st, f = gen_case(params, i)
+            top.denot_top_witness(m, st, f)
+            bot.denot_bot_witness(derive_bot_model(m), st, translate(f))
+    assert len(searches) == 2 * 2 * 300
 
 
 def test_gen_case_deterministic():
