@@ -467,22 +467,10 @@ class _Compiler(Compiler):
         tuples = self.m.true_tuples(f.functor, len(f.args))
         if tuples is None:
             raise UnknownFunctor(f"unknown functor {f.functor}/{len(f.args)}")
-        args = [self.term(a) for a in f.args]
-        consts = self.m.consts
-        key = tuple(
-            a if type(a) is Var else consts[a.name] if type(a) is Const
-            else None
-            for a in f.args
-        )
-        self.plan.semijoin(tuples, key)
-        values = [x for x, _ in args]
-        if all(type(a) is Var or type(x) is _Fixed and x.value is not UNDEFINED
-               for a, x in zip(f.args, values)):
-            # the folded arguments stay in place; only variables are read
-            return _lift(tuples.__contains__, _row(tuple(
-                a if type(a) is Var else x.value for a, x in zip(f.args, values))))
-        return _lift(lambda *vals: not any(v is UNDEFINED for v in vals)
-                     and vals in tuples, *args)
+        # no true tuple holds UNDEFINED or EMPTY, so neither needs a guard
+        operands = [self.term(a) for a in f.args]
+        self._semijoin(tuples, f.args, operands)
+        return _lift(tuples.__contains__, _row(operands))
 
 
 def eval_point(m: BotModel, st: int, g: Assignment, e):

@@ -10,8 +10,9 @@ evaluators of both languages propagate them.
 The records, models and domain indexes here are immutable after
 construction and safe to share across threads.  `CandidatePlan` and
 `Compiler` are not: compiling a formula narrows its plan in place
-(`restrict`, `within`, `inside`, `equal_to`, `semijoin`), so each belongs
-to one compile and the search that follows it.
+(`restrict`, `within`, `inside`, `equal_to`), so each belongs to one
+compile and the search that follows it.  Only `equal_to` reads the
+variables bound so far; a literal is joined once, while compiling.
 """
 from __future__ import annotations
 
@@ -653,18 +654,19 @@ class CandidatePlan:
 
     A compiler narrows the plan as it compiles a formula, with filters
     that every satisfying assignment passes, so dropping the rest loses
-    no witness.  A variable's static candidates are one mask of the
-    domain index (see `DomainIndex`); an unrestricted variable has none
-    and takes the whole domain.  Candidates keep domain order, which
-    keeps the first witness the one plain nested enumeration over the
-    whole domain finds.  A filter that reads other variables narrows a
-    variable only where `search` binds them before it.
+    no witness: `restrict` and `within` give a variable a static mask of
+    the domain index (see `DomainIndex`), `inside` an arc to another
+    variable's mask, and `equal_to` the one value an equality gives it.
+    An unrestricted variable takes the whole domain.  Candidates keep
+    domain order, which keeps the first witness the one plain nested
+    enumeration over the whole domain finds.  Only `equal_to` reads other
+    variables, and it narrows a variable only where `search` binds them
+    before it.
     """
 
     def __init__(self, index: DomainIndex):
         self.index = index
         self._static = {}  # name -> mask of its allowed values
-        self._joins = []  # (matching tuples, args) of each semijoin
         self._equal = []  # (name, needs, value) of each equal_to
         self._inside = []  # (name, other) of each inside
 
@@ -688,32 +690,6 @@ class CandidatePlan:
         bound before it."""
         self._equal.append((name, needs, value))
 
-    def semijoin(self, tuples, args: tuple) -> None:
-        """Restrict each variable of a literal to the matching tuples' values.
-
-        args[k] is a Var, None where no filter reads the position, or the
-        object a constant denotes.  A variable takes, at its first position,
-        the values of the tuples that agree with the constants, with its own
-        other positions and, in `search`, with the variables bound before it.
-        """
-        known = [
-            (k, a) for k, a in enumerate(args)
-            if a is not None and type(a) is not Var
-        ]
-        repeats = [
-            (k, args.index(a)) for k, a in enumerate(args)
-            if type(a) is Var and args.index(a) != k
-        ]
-        rows = [
-            t for t in tuples
-            if all(t[k] == a for k, a in known)
-            and all(t[k] == t[j] for k, j in repeats)
-        ]
-        for j, v in enumerate(args):
-            if type(v) is Var and args.index(v) == j:
-                self.restrict(v.name, self.index.mask(t[j] for t in rows))
-        self._joins.append((rows, args))
-
     def search(self, tests: list):
         """The first assignment, in candidate order, that passes every test,
         or None.
@@ -723,10 +699,12 @@ class CandidatePlan:
         each test runs, in list order, as soon as the last of its names is
         bound, with exactly the names up to that one in g; the first that
         fails cuts the branch.  This is the one depth-first search behind
-        both witness searches.  The arcs of `inside` narrow first, in the
-        order they were given.  The tests read every name restricted or in
-        an arc, so a name with no value, before or after the arcs, ends the
-        search with no test run.  A level is listed when first reached.
+        both witness searches.  A name takes its static mask, narrowed
+        first by the arcs of `inside` in the order they were given; the
+        one filter read at a node is `equal_to`, once the names it needs
+        are bound.  The tests read every name restricted or in an arc, so
+        a name with no value, before or after the arcs, ends the search
+        with no test run.  A level is listed when first reached.
         """
         if 0 in self._static.values():
             return None
@@ -751,35 +729,21 @@ class CandidatePlan:
         static = [self._static.get(name) for name in order]
         if 0 in static:
             return None
-        dynamic = [[] for _ in order]  # callables g -> set of values
+        equal = [[] for _ in order]  # callables g -> the one value allowed
         for name, needs, value in self._equal:
             i = level[name]
             if all(level[n] < i for n in needs):
-                dynamic[i].append(lambda g, value=value: {value(g)})
-        for rows, args in self._joins:
-            for j, v in enumerate(args):
-                if type(v) is not Var or args.index(v) != j:
-                    continue
-                i = level[v.name]
-                bound = [
-                    (k, a.name) for k, a in enumerate(args)
-                    if type(a) is Var and level[a.name] < i
-                ]
-                if bound:
-                    dynamic[i].append(
-                        lambda g, j=j, rows=rows, bound=bound: {
-                            t[j] for t in rows
-                            if all(t[k] == g[n] for k, n in bound)
-                        }
-                    )
+                equal[i].append(value)
         objects, members = index.objects, index.members
 
         def candidates(i):
             mask = static[i]
-            if dynamic[i]:
-                values = set.intersection(*(narrow(g) for narrow in dynamic[i]))
-                narrowed = index.mask(values)
-                return members(narrowed if mask is None else narrowed & mask)
+            if equal[i]:  # the one value every equality gives, if allowed
+                value, *others = {eq(g) for eq in equal[i]}
+                k = None if others else index.position(value)
+                if k is None or mask is not None and not mask >> k & 1:
+                    return ()
+                return (objects[k],)
             fixed[i] = objects if mask is None else members(mask)
             return fixed[i]
 
@@ -840,47 +804,42 @@ def _constant(value):
 
 
 def _lift(fn, *operands):
-    """fn of compiled operands, as an operand: folded exactly when all of
-    them are, and reading the names they read, in order.  A folded
-    operand goes in as its value."""
+    """fn of one or two compiled operands, as an operand: folded exactly
+    when all of them are, and reading the names they read, in order.  A
+    folded operand goes in as its value."""
     if len(operands) == 1:
         (x, names), = operands
         if type(x) is _Fixed:
             return _Fixed(fn(x.value)), names
         return (lambda g: fn(x(g))), names
-    if len(operands) == 2:
-        (a, names), (b, more) = operands
-        names += more
-        if type(a) is _Fixed:
-            if type(b) is _Fixed:
-                return _Fixed(fn(a.value, b.value)), names
-            a = a.value
-            return (lambda g: fn(a, b(g))), names
+    (a, names), (b, more) = operands
+    names += more
+    if type(a) is _Fixed:
         if type(b) is _Fixed:
-            b = b.value
-            return (lambda g: fn(a(g), b)), names
-        return (lambda g: fn(a(g), b(g))), names
-    names = tuple(n for _, ns in operands for n in ns)
-    if all(type(x) is _Fixed for x, _ in operands):
-        return _Fixed(fn(*[x.value for x, _ in operands])), names
-    xs = [_closure(x) for x, _ in operands]
-    return (lambda g: fn(*[x(g) for x in xs])), names
+            return _Fixed(fn(a.value, b.value)), names
+        a = a.value
+        return (lambda g: fn(a, b(g))), names
+    if type(b) is _Fixed:
+        b = b.value
+        return (lambda g: fn(a(g), b)), names
+    return (lambda g: fn(a(g), b(g))), names
 
 
-def _row(pattern):
-    """The tuple pattern, each Var in it replaced by its value, as an
-    operand: a literal's arguments with the folded ones kept in place."""
-    slots = [(k, a.name) for k, a in enumerate(pattern) if type(a) is Var]
-    if not slots:
-        return _constant(pattern)
+def _row(operands):
+    """The tuple of the operands' values, as an operand: a literal's
+    arguments, the folded ones kept in place and only the others read."""
+    values = [x.value if type(x) is _Fixed else None for x, _ in operands]
+    reads = [(k, x) for k, (x, _) in enumerate(operands) if type(x) is not _Fixed]
+    if not reads:
+        return _constant(tuple(values))
 
     def row(g):
-        values = list(pattern)
-        for k, name in slots:
-            values[k] = g[name]
-        return tuple(values)
+        out = values.copy()
+        for k, x in reads:
+            out[k] = x(g)
+        return tuple(out)
 
-    return row, tuple(name for _, name in slots)
+    return row, tuple(n for _, names in operands for n in names)
 
 
 def _is_period(v):
@@ -923,6 +882,23 @@ class Compiler:
             self.plan.restrict(t.name, self.plan.index.mask(part.blocks))
         blocks = frozenset(part.blocks)
         return (lambda v: type(v) is Period and v in blocks), self.term(t)
+
+    def _semijoin(self, tuples, args, operands) -> list:
+        """The rows of tuples that agree with a literal's folded operands
+        and with each repeated variable of its args.  Each variable takes,
+        at its first position, only the values there: the one join of a
+        literal, made before the search."""
+        known = [(k, x.value) for k, (x, _) in enumerate(operands)
+                 if type(x) is _Fixed]
+        repeats = [(k, args.index(a)) for k, a in enumerate(args)
+                   if type(a) is Var and args.index(a) != k]
+        rows = [t for t in tuples
+                if all(t[k] == v for k, v in known)
+                and all(t[k] == t[j] for k, j in repeats)]
+        for j, a in enumerate(args):
+            if type(a) is Var and args.index(a) == j:
+                self.plan.restrict(a.name, self.plan.index.mask(t[j] for t in rows))
+        return rows
 
 
 class FunctorCollision(Exception):

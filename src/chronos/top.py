@@ -321,23 +321,19 @@ class _Compiler(Compiler):
         ext = m.extension(functor, n)
         if ext is None:
             raise UnknownFunctor(f"unknown functor {functor}/{n}")
-        # the arguments, each constant replaced by its object
-        pattern = tuple(a if type(a) is Var else self._const(a.name)
-                        for a in lit.args)
-        known = [(k, a) for k, a in enumerate(pattern) if type(a) is not Var]
-        entries = [(args, ps) for args, ps in ext.items()
-                   if ps and (not culm or m.culm_flag(functor, n, args))]
-        self.plan.semijoin([args for args, _ in entries], pattern)
+        operands = [self.term(a) for a in lit.args]
+        rows = self._semijoin(
+            [args for args, ps in ext.items()
+             if ps and (not culm or m.culm_flag(functor, n, args))],
+            lit.args, operands)
 
         def event_times(index):
             # et lies within a maximal period, or under Culm is the hull,
-            # of an entry that agrees with the constants
-            matching = [ps for args, ps in entries
-                        if all(args[k] == a for k, a in known)]
+            # of a row of the literal's join
             if culm:
-                return index.mask(Period(min(p.lo for p in ps),
-                                         max(p.hi for p in ps)) for ps in matching)
-            return index.subperiods(p for ps in matching for p in ps)
+                return index.mask(Period(min(p.lo for p in ext[r]),
+                                         max(p.hi for p in ext[r])) for r in rows)
+            return index.subperiods(p for r in rows for p in ext[r])
 
         self._event_times(event_times)
 
@@ -356,7 +352,7 @@ class _Compiler(Compiler):
             return False
 
         self._fits()
-        self._test(holds, _row(pattern), self.et)
+        self._test(holds, _row(operands), self.et)
 
     def _and(self, f):
         for p in chain(f):

@@ -147,6 +147,8 @@ def test_undefined_collapses_to_false_at_every_atom(b0):
     undef_period = f"[{undef_point}, end]"
     cases = [
         f"empty(tank5, {undef_period})",
+        "empty(tank5, [beg, earliest(?x)])",  # undefined only as x = tank5
+        "empty(tank5, intersect(d_jan, y1995))",  # folds to EMPTY
         f"subper({undef_period}, [beg,end])",
         f"subper([beg,end], {undef_period})",
         f"eq({undef_point}, {undef_point})",

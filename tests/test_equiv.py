@@ -153,21 +153,36 @@ def test_witnesses_are_pinned_across_whole_seeds():
 #: the generator's caps, where narrowing by subper cuts most; recorded before
 #: that narrowing existed
 WIDE_WITNESS_DIGEST = "c878d632dc2d5f0b1ae72c0400dae0ec5f5351ec"
+#: the same sha1 for cases 0-299 of seed 42 at timeline 32, arity 3, depth 6
+#: and 5 variables, where joining a literal on the variables bound so far,
+#: at each node, would cut most; recorded while the search still did that
+T32_WITNESS_DIGEST = "edfa83f50c7d4b7f546c4de41701a6dec6260b8e"
 
 
-def test_witnesses_are_pinned_on_wide_cases():
+def _wide_digest(cases, **caps):
+    """The witness sha1 of cases of seed 42 with GenParams over its caps."""
     params = object.__new__(GenParams)  # over the caps: no __post_init__
     values = dict(zip(GenParams._fields, GenParams._values(GenParams(seed=42))),
-                  timeline_size=16, max_depth=6, max_free_vars=4)
+                  **caps)
     for name, value in values.items():
         object.__setattr__(params, name, value)
     h = hashlib.sha1()
-    for i in range(1000):
+    for i in range(cases):
         m, st, f = gen_case(params, i)
         top_witness = top.denot_top_witness(m, st, f)
         bot_witness = bot.denot_bot_witness(derive_bot_model(m), st, translate(f))
         h.update(repr((top_witness, bot_witness)).encode())
-    assert h.hexdigest() == WIDE_WITNESS_DIGEST
+    return h.hexdigest()
+
+
+def test_witnesses_are_pinned_on_wide_cases():
+    assert _wide_digest(1000, timeline_size=16, max_depth=6,
+                        max_free_vars=4) == WIDE_WITNESS_DIGEST
+
+
+def test_witnesses_are_pinned_at_timeline_32():
+    assert _wide_digest(300, timeline_size=32, max_arity=3, max_depth=6,
+                        max_free_vars=5) == T32_WITNESS_DIGEST
 
 
 def test_compilers_restrict_only_names_their_tests_read(monkeypatch):

@@ -1,5 +1,6 @@
-"""Narrowing by subper before the search: a variable inside a known window,
-or inside another variable, takes only subperiods as candidates.
+"""Narrowing before the search: a variable inside a known window, or inside
+another variable, takes only subperiods as candidates, and a literal's
+variables take only the values of the rows its join leaves.
 
 Each test records the values a search tries for one name, with a test that
 rejects them all, so what it sees are exactly that name's candidates."""
@@ -7,6 +8,7 @@ import pytest
 
 from chronos import bot, top
 from chronos.core import Period, derive_bot_model, subper
+from chronos.modelfile import parse_model
 
 P = Period
 
@@ -90,3 +92,19 @@ def test_top_event_time_under_past_lies_before_the_speech_time(m0, st):
                   top._EVENT_TIME)
     # within [0, st-1] and within the literal's maximal period [2, 5]
     assert seen == [p for p in _subperiods(m, P(2, 5)) if p.hi < st]
+
+
+def test_repeated_variable_narrows_the_literal_before_the_search():
+    """q(?x, ?x) joins on its repeated variable while compiling: only the
+    row q(a, a) is left, so TOP's event time tries only the subperiods of
+    [5,6], not of [0,3], and BOT's period argument takes only [5,6]."""
+    m = parse_model("timeline 10\nspeech 7\nobject a\nobject b\npred q/2\n"
+                    "maximal q(a, b) = [0,3]\nmaximal q(a, a) = [5,6]\n").model
+    compiler = top._Compiler(m, 7, top._EVENT_TIME, m.timeline.full())
+    compiler.formula(top.parse_top("q(?x, ?x)"))
+    plan = compiler.plan
+    plan.restrict(top._EVENT_TIME, plan.index.periods)
+    seen = _tried(plan, [(None, (top._EVENT_TIME,))] + compiler.tests,
+                  top._EVENT_TIME)
+    assert seen == _subperiods(m, P(5, 6))
+    assert _bot_tried(derive_bot_model(m), 7, "q(?x, ?x, ?p)", "p") == [P(5, 6)]
