@@ -25,8 +25,7 @@ from .core import (
     UnknownFunctor,
     Var,
     _closure,
-    _constant,
-    _Fixed,
+    _eq,
     _is_period,
     _lift,
     _row,
@@ -316,7 +315,8 @@ def print_bot(f) -> str:
 
 
 # The value functions: each part's denotation as a function of its
-# operands' denotations.  UNDEFINED is absorbing, and false at every atom.
+# operands' denotations, beside core's `intersect`, `subper`, `_eq` and
+# `_is_period`.  UNDEFINED is absorbing, and false at every atom.
 
 
 def _earliest(p):
@@ -327,21 +327,8 @@ def _latest(p):
     return p.hi if type(p) is Period else UNDEFINED
 
 
-def _meet(x, y):
-    return UNDEFINED if x is UNDEFINED or y is UNDEFINED else intersect(x, y)
-
-
 def _as_period(v):
     return v if type(v) is Period else UNDEFINED
-
-
-def _subper(x, y):
-    return (type(x) is Period and type(y) is Period
-            and y.lo <= x.lo and x.hi <= y.hi)
-
-
-def _eq(x, y):
-    return x is not UNDEFINED and y is not UNDEFINED and x == y
 
 
 def _prec(x, y):
@@ -369,10 +356,11 @@ class _Compiler(Compiler):
     One walk over a conjunct gives its test and its variables in
     first-occurrence order, and narrows `plan` by the candidate filters it
     implies.  Every part compiles to an operand (see `core._lift`): a
-    variable to its lookup, a constant or anchor to its value (`_Fixed`),
-    and every other part to its value function lifted over its operands,
-    folded exactly when all of them are, so exactly when it names no
-    variable.  A conjunct's scope is the names of its operands.  `term`
+    variable to its lookup, a constant or anchor to its value, and every
+    other part to its value function lifted over its operands.  A part is
+    folded, its operand holding its value, exactly when it reads no name,
+    so exactly when it names no variable.  A conjunct's scope is the names
+    of its operands.  `term`
     recurses into `term` directly, one frame per nesting level.  A
     functor, constant or partitioning the model lacks raises
     UnknownFunctor, UnknownConstant or UnknownPartitioning where it is
@@ -386,15 +374,15 @@ class _Compiler(Compiler):
 
     def conjunct(self, f):
         """(test g -> bool, the conjunct's variables in first-occurrence order)."""
-        test, names = self.atom(f)
-        return _closure(test), list(dict.fromkeys(names))
+        test = self.atom(f)
+        return _closure(test), list(dict.fromkeys(test[1]))
 
     def term(self, t):
         tt = type(t)
         if tt is Var or tt is Const:
             return super().term(t)
         if tt is Beg or tt is Now or tt is End:
-            return _constant(0 if tt is Beg else self.st if tt is Now else self.last)
+            return (0 if tt is Beg else self.st if tt is Now else self.last), ()
         if tt is Earliest or tt is Latest:
             bound = _earliest if tt is Earliest else _latest
             return _lift(bound, self.term(_period(t.per)))
@@ -413,12 +401,10 @@ class _Compiler(Compiler):
 
             return _lift(span, self.term(_point(t.lo)), self.term(_point(t.hi)))
         if tt is Intersect:
-            return _lift(_meet, self.term(_period(t.left)),
+            return _lift(intersect, self.term(_period(t.left)),
                          self.term(_period(t.right)))
         if tt is TermRef:
-            if type(t.term) is Var:
-                self._periods_only(t.term.name)
-            return _lift(_as_period, self.term(t.term))
+            return _lift(_as_period, self.period(t.term))
         raise TypeError(f"not a BOT term: {t!r}")
 
     def atom(self, f):
@@ -426,20 +412,11 @@ class _Compiler(Compiler):
         if t is Literal:
             return self._literal(f)
         if t is Subper:
-            left, right = self._operand(f.left), self._operand(f.right)
-            if type(f.left) is TermRef and type(f.left.term) is Var:
-                self._inside(f.left.term.name, f.right, right[0])
-            return _lift(_subper, left, right)
+            return self._subper(self._operand(f.left), self._operand(f.right))
         if t is Eq:
-            a, b = self.term(f.left), self.term(f.right)
-            for v, (other, needs) in ((f.left, b), (f.right, a)):
-                if type(v) is Var:
-                    self.plan.equal_to(v.name, needs, _closure(other))
-            return _lift(_eq, a, b)
+            return self._equal(self.term(f.left), self.term(f.right))
         if t is IsPeriod:
-            if type(f.term) is Var:
-                self._periods_only(f.term.name)
-            return _lift(_is_period, self.term(f.term))
+            return _lift(_is_period, self.period(f.term))
         if t is InPart:
             return _lift(*self._in_part(f.part, f.term))
         if t is Prec:
@@ -448,20 +425,11 @@ class _Compiler(Compiler):
         raise TypeError(f"not a BOT formula: {f!r}")
 
     def _operand(self, e):
-        """A subper operand: a variable is read as it is bound, since subper
-        rejects anything but a period anyway."""
-        if type(e) is TermRef and type(e.term) is Var:
-            self._periods_only(e.term.name)
-            return self.term(e.term)
+        """A subper operand: a variable or constant is read as it is, since
+        subper rejects anything but a period anyway."""
+        if type(e) is TermRef:
+            return self.period(e.term)
         return self.term(_period(e))
-
-    def _inside(self, name, e, window):
-        """subper(?name, e): name takes only the subperiods of e folded to
-        a window, or of the static candidates of a variable e."""
-        if type(window) is _Fixed:
-            self.plan.within(name, [window.value])
-        elif type(e) is TermRef and type(e.term) is Var:
-            self.plan.inside(name, e.term.name)
 
     def _literal(self, f):
         tuples = self.m.true_tuples(f.functor, len(f.args))
@@ -475,12 +443,12 @@ class _Compiler(Compiler):
 
 def eval_point(m: BotModel, st: int, g: Assignment, e):
     """Time-point denoted by a point expression, or UNDEFINED."""
-    return evaluate(_closure(_Compiler(m, st).term(_point(e))[0]), g)
+    return evaluate(_closure(_Compiler(m, st).term(_point(e))), g)
 
 
 def eval_period(m: BotModel, st: int, g: Assignment, e):
     """Point set denoted by a period expression: Period, EMPTY, or UNDEFINED."""
-    return evaluate(_closure(_Compiler(m, st).term(_period(e))[0]), g)
+    return evaluate(_closure(_Compiler(m, st).term(_period(e))), g)
 
 
 def eval_bot(m: BotModel, st: int, g: Assignment, f) -> bool:

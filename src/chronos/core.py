@@ -392,7 +392,10 @@ def functors(f) -> set:
 
 
 def intersect(a: PointSet, b: PointSet) -> PointSet:
-    """Set intersection of two point sets; convexity is preserved."""
+    """Set intersection of two point sets; convexity is preserved.
+    UNDEFINED is absorbing, even against EMPTY."""
+    if a is UNDEFINED or b is UNDEFINED:
+        return UNDEFINED
     if a is EMPTY or b is EMPTY:
         return EMPTY
     lo = max(a.lo, b.lo)
@@ -401,10 +404,10 @@ def intersect(a: PointSet, b: PointSet) -> PointSet:
 
 
 def subper(a: PointSet, b: PointSet) -> bool:
-    """True iff a and b are both periods and a is a subperiod of b."""
-    if a is EMPTY or b is EMPTY:
-        return False
-    return b.lo <= a.lo and a.hi <= b.hi
+    """True iff a and b are both periods and a is a subperiod of b; false
+    when either is EMPTY, UNDEFINED or an atom."""
+    return (type(a) is Period and type(b) is Period
+            and b.lo <= a.lo and a.hi <= b.hi)
 
 
 def mergeable(a: Period, b: Period) -> bool:
@@ -775,32 +778,16 @@ class CandidatePlan:
 # Compiling: what the TOP and BOT compilers share
 #
 # Every compiled part, in either language, is an operand: a pair (value,
-# names).  The value is `_Fixed` when the part reads no variable, or else
-# a function g -> value; names are the variables the part reads, in
-# reading order, repeats included.
+# names), names being the variables the part reads, in reading order,
+# repeats included.  A part that reads no name is folded: its value is the
+# part's value under every assignment.  Any other part's value is a
+# function g -> value.
 
 
-class _Fixed:
-    """A part folded when it is compiled: its value under every
-    assignment, because it reads no variable."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-def _closure(x):
-    """A compiled value as a callable g -> value."""
-    if type(x) is _Fixed:
-        value = x.value
-        return lambda g: value
-    return x
-
-
-def _constant(value):
-    """The operand of a value known while compiling."""
-    return _Fixed(value), ()
+def _closure(operand):
+    """An operand's value as a callable g -> value."""
+    x, names = operand
+    return x if names else lambda g: x
 
 
 def _lift(fn, *operands):
@@ -809,29 +796,26 @@ def _lift(fn, *operands):
     folded operand goes in as its value."""
     if len(operands) == 1:
         (x, names), = operands
-        if type(x) is _Fixed:
-            return _Fixed(fn(x.value)), names
+        if not names:
+            return fn(x), names
         return (lambda g: fn(x(g))), names
     (a, names), (b, more) = operands
-    names += more
-    if type(a) is _Fixed:
-        if type(b) is _Fixed:
-            return _Fixed(fn(a.value, b.value)), names
-        a = a.value
-        return (lambda g: fn(a, b(g))), names
-    if type(b) is _Fixed:
-        b = b.value
+    if not names:
+        if not more:
+            return fn(a, b), names
+        return (lambda g: fn(a, b(g))), more
+    if not more:
         return (lambda g: fn(a(g), b)), names
-    return (lambda g: fn(a(g), b(g))), names
+    return (lambda g: fn(a(g), b(g))), names + more
 
 
 def _row(operands):
     """The tuple of the operands' values, as an operand: a literal's
     arguments, the folded ones kept in place and only the others read."""
-    values = [x.value if type(x) is _Fixed else None for x, _ in operands]
-    reads = [(k, x) for k, (x, _) in enumerate(operands) if type(x) is not _Fixed]
+    values = [None if names else x for x, names in operands]
+    reads = [(k, x) for k, (x, names) in enumerate(operands) if names]
     if not reads:
-        return _constant(tuple(values))
+        return tuple(values), ()
 
     def row(g):
         out = values.copy()
@@ -846,11 +830,17 @@ def _is_period(v):
     return type(v) is Period
 
 
+def _eq(x, y):
+    return x is not UNDEFINED and y is not UNDEFINED and x == y
+
+
 class Compiler:
     """What the TOP and BOT compilers share: the model, the speech time,
-    the candidate plan that compiling narrows, and the lookups of names.
-    A constant or partitioning the model lacks raises UnknownConstant or
-    UnknownPartitioning where it is looked up."""
+    the candidate plan that compiling narrows, the lookups of names, and
+    the rules that narrow the plan.  The rules narrow only a bare variable:
+    the operand `term` gives a variable, an itemgetter, which no lifted
+    part is.  A constant or partitioning the model lacks raises
+    UnknownConstant or UnknownPartitioning where it is looked up."""
 
     def __init__(self, m, st: int):
         self.m = m
@@ -861,15 +851,43 @@ class Compiler:
         """A variable or constant as an operand: its lookup, or its value."""
         if type(t) is Var:
             return itemgetter(t.name), (t.name,)
-        return _constant(self._const(t.name))
+        return self._const(t.name), ()
 
     def _const(self, name):
         if name not in self.m.consts:
             raise UnknownConstant(f"unknown constant {name}")
         return self.m.consts[name]
 
-    def _periods_only(self, name):
-        self.plan.restrict(name, self.plan.index.periods)
+    def period(self, t):
+        """The operand of a variable or constant t read where only a period
+        can hold: a variable t takes only periods."""
+        if type(t) is Var:
+            self.plan.restrict(t.name, self.plan.index.periods)
+        return self.term(t)
+
+    def _equal(self, x, y):
+        """The test eq(x, y) of two operands.  A bare variable on either
+        side takes the other side's value: its one value when folded,
+        else the value read once the names it reads are bound."""
+        for (var, names), (value, needs) in ((x, y), (y, x)):
+            if type(var) is itemgetter:
+                if needs:
+                    self.plan.equal_to(names[0], needs, value)
+                else:
+                    self.plan.restrict(names[0], self.plan.index.mask([value]))
+        return _lift(_eq, x, y)
+
+    def _subper(self, x, w):
+        """The test subper(x, w) of two operands.  A bare variable x takes
+        only the subperiods of a folded w, or of the candidates of a bare
+        variable w."""
+        (var, names), (window, more) = x, w
+        if type(var) is itemgetter:
+            if not more:
+                self.plan.within(names[0], [window])
+            elif type(window) is itemgetter:
+                self.plan.inside(names[0], more[0])
+        return _lift(subper, x, w)
 
     def _in_part(self, name, t):
         """The block test of partitioning `name`, looked up before the term
@@ -888,8 +906,7 @@ class Compiler:
         and with each repeated variable of its args.  Each variable takes,
         at its first position, only the values there: the one join of a
         literal, made before the search."""
-        known = [(k, x.value) for k, (x, _) in enumerate(operands)
-                 if type(x) is _Fixed]
+        known = [(k, x) for k, (x, names) in enumerate(operands) if not names]
         repeats = [(k, args.index(a)) for k, a in enumerate(args)
                    if type(a) is Var and args.index(a) != k]
         rows = [t for t in tuples

@@ -26,8 +26,6 @@ from .core import (
     UnknownPartitioning,
     Var,
     _closure,
-    _constant,
-    _Fixed,
     _is_period,
     _lift,
     _row,
@@ -35,7 +33,6 @@ from .core import (
     evaluate,
     intersect,
     print_chain,
-    subper,
 )
 # the one symbol walk, shared with BOT
 from .core import free_vars, free_vars_ordered, functors, symbols  # noqa: F401
@@ -266,8 +263,8 @@ class _Compiler(Compiler):
     def __init__(self, m: TopModel, st: int, et, lt: PointSet):
         super().__init__(m, st)
         self.tests = []
-        self.et = _constant(et) if type(et) is Period else (itemgetter(et), (et,))
-        self.lt = _constant(lt)
+        self.et = (et, ()) if type(et) is Period else (itemgetter(et), (et,))
+        self.lt = lt, ()
 
     def formula(self, f):
         compile = _FORMULAS.get(type(f))
@@ -275,10 +272,10 @@ class _Compiler(Compiler):
             raise TypeError(f"not a TOP formula: {f!r}")
         compile(self, f)
 
-    def _test(self, fn, *operands):
-        """Add fn of the operands as a test, unless it folds to true."""
-        test, names = _lift(fn, *operands)
-        if type(test) is not _Fixed or not test.value:
+    def _test(self, test):
+        """Add a test operand, unless it folds to true."""
+        names = test[1]
+        if names or not test[0]:
             self.tests.append((_closure(test), names))
 
     def _under(self, f, et, lt):
@@ -297,14 +294,6 @@ class _Compiler(Compiler):
         names = self.et[1]
         if names:
             self.plan.restrict(names[0], mask(self.plan.index))
-
-    def _fits(self):
-        """Test that et lies within lt; a searched et first takes only the
-        subperiods of a folded lt."""
-        (window, _), (_, names) = self.lt, self.et
-        if names and type(window) is _Fixed:
-            self.plan.within(names[0], [window.value])
-        self._test(subper, self.et, self.lt)
 
     def _literal(self, f):
         self._situation(f, culm=False)
@@ -327,59 +316,49 @@ class _Compiler(Compiler):
              if ps and (not culm or m.culm_flag(functor, n, args))],
             lit.args, operands)
 
-        def event_times(index):
-            # et lies within a maximal period, or under Culm is the hull,
-            # of a row of the literal's join
-            if culm:
-                return index.mask(Period(min(p.lo for p in ext[r]),
-                                         max(p.hi for p in ext[r])) for r in rows)
-            return index.subperiods(p for r in rows for p in ext[r])
+        # et lies within a maximal period of a row of the literal's join,
+        # or under Culm is the row's hull; the rows are every argument
+        # tuple that can hold
+        if culm:
+            hulls = {r: Period(min(p.lo for p in ext[r]), max(p.hi for p in ext[r]))
+                     for r in rows}
+            self._event_times(lambda index: index.mask(hulls.values()))
 
-        self._event_times(event_times)
+            def holds(args, et):
+                return hulls.get(args) == et
+        else:
+            periods = {r: ext[r] for r in rows}
+            self._event_times(lambda index: index.subperiods(
+                p for ps in periods.values() for p in ps))
 
-        def holds(args, et):
-            ps = ext.get(args)
-            if not ps:
+            def holds(args, et):
+                for p in periods.get(args, ()):
+                    if p.lo <= et.lo and et.hi <= p.hi:
+                        return True
                 return False
-            if culm:
-                if not m.culm_flag(functor, n, args):
-                    return False
-                return (et.lo == min(p.lo for p in ps)
-                        and et.hi == max(p.hi for p in ps))
-            for p in ps:
-                if p.lo <= et.lo and et.hi <= p.hi:
-                    return True
-            return False
 
-        self._fits()
-        self._test(holds, _row(operands), self.et)
+        self._test(self._subper(self.et, self.lt))
+        self._test(_lift(holds, _row(operands), self.et))
 
     def _and(self, f):
         for p in chain(f):
             self.formula(p)
 
     def _part(self, f):
-        self._test(*self._in_part(f.part, f.var))
+        self._test(_lift(*self._in_part(f.part, f.var)))
 
     def _pres(self, f):
         # st must fall within the event time; lt is not consulted
         st, last = self.st, self.m.timeline.t_last
         self._event_times(lambda index: index.period_mask(0, st, st, last))
-        self._test(lambda et: et.lo <= st <= et.hi, self.et)
+        self._test(_lift(lambda et: et.lo <= st <= et.hi, self.et))
         self.formula(f.body)
 
     def _past(self, f):
-        # narrow lt to the points before the speech time
-        name, st = f.var.name, self.st
-        self._periods_only(name)
-        var, (now, needs) = self.term(f.var), self.et
-        if needs:  # ?v equals the event time, whichever of the two is bound first
-            self.plan.equal_to(name, needs, now)
-            self.plan.equal_to(needs[0], (name,), var[0])
-        else:
-            self.plan.restrict(name, self.plan.index.mask([now.value]))
-        self._test(eq, var, self.et)
-        self._within(f.body, _constant(Period(0, st - 1) if st > 0 else EMPTY))
+        # ?v is the event time; lt narrows to the points before the speech time
+        st = self.st
+        self._test(self._equal(self.period(f.var), self.et))
+        self._within(f.body, (Period(0, st - 1) if st > 0 else EMPTY, ()))
 
     def _located(self, f):
         """At, Before and After narrow lt by a window their term names."""
@@ -394,25 +373,22 @@ class _Compiler(Compiler):
                 return Period(0, v.lo - 1) if v.lo > 0 else EMPTY
             return Period(v.hi + 1, last) if v.hi < last else EMPTY
 
-        if type(f.term) is Var:
-            self._periods_only(f.term.name)
-        term = self.term(f.term)
-        self._test(_is_period, term)
+        term = self.period(f.term)
+        self._test(_lift(_is_period, term))
         self._within(f.body, _lift(window, term))
 
     def _fills(self, f):
         # the event time must cover the whole window
-        self._test(eq, self.et, self.lt)
+        self._test(_lift(eq, self.et, self.lt))
         self.formula(f.body)
 
     def _ntense(self, f):
-        full = _constant(self.m.timeline.full())
+        full = self.m.timeline.full(), ()
         if f.var is None:
-            self._under(f.body, _constant(Period(self.st, self.st)), full)
+            self._under(f.body, (Period(self.st, self.st), ()), full)
             return
-        self._periods_only(f.var.name)
-        var = self.term(f.var)
-        self._test(_is_period, var)
+        var = self.period(f.var)
+        self._test(_lift(_is_period, var))
         self._under(f.body, var, full)
 
     def _for(self, f):
@@ -434,17 +410,16 @@ class _Compiler(Compiler):
                 spans[lo] = p.hi
         self._event_times(lambda index: index.mask(
             Period(lo, hi) for lo, hi in spans.items()))
-        self._test(lambda et: spans.get(et.lo) == et.hi, self.et)
+        self._test(_lift(lambda et: spans.get(et.lo) == et.hi, self.et))
         self.formula(f.body)
 
     def _perf(self, f):
         # the body holds at an earlier event time named by the variable
-        self._periods_only(f.var.name)
-        var = self.term(f.var)
-        self._fits()
-        self._test(lambda v, et: type(v) is Period and v.hi < et.lo,
-                   var, self.et)
-        self._under(f.body, var, _constant(self.m.timeline.full()))
+        var = self.period(f.var)
+        self._test(self._subper(self.et, self.lt))
+        self._test(_lift(lambda v, et: type(v) is Period and v.hi < et.lo,
+                         var, self.et))
+        self._under(f.body, var, (self.m.timeline.full(), ()))
 
 
 _FORMULAS = {

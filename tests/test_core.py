@@ -8,6 +8,7 @@ from chronos.core import (
     COMPLETE,
     EMPTY,
     GAPPY,
+    UNDEFINED,
     CandidatePlan,
     DomainIndex,
     EtaMapping,
@@ -74,6 +75,18 @@ def test_subper_partial_order_exhaustive():
     for a, b, c in itertools.product(periods, repeat=3):
         if subper(a, b) and subper(b, c):
             assert subper(a, c)
+
+
+def test_point_set_algebra_is_total():
+    """UNDEFINED absorbs through intersect, even against EMPTY; subper
+    holds only between two periods."""
+    p = P(2, 5)
+    for a, b in ((UNDEFINED, p), (p, UNDEFINED), (EMPTY, UNDEFINED),
+                 (UNDEFINED, EMPTY)):
+        assert intersect(a, b) is UNDEFINED, (a, b)
+    for other in (UNDEFINED, EMPTY, "tank5"):
+        assert subper(other, p) is False, other
+        assert subper(p, other) is False, other
 
 
 def test_timeline_periods_order():

@@ -81,6 +81,20 @@ def test_bot_literal_arc_narrows_the_event_time_to_the_periods_subperiods(b0):
     assert seen == _subperiods(b0, P(1, 2), P(4, 5))
 
 
+def test_bot_folded_eq_narrows_before_the_search(b0):
+    """eq(?x, e), e folded, on either side: x's static candidates are e's
+    one value, or none when e is undefined."""
+    for text, value in (("eq(?x, [now, now])", P(7, 7)),
+                        ("eq([now, now], ?x)", P(7, 7)),
+                        ("eq(?x, succ(end))", None)):
+        compiler = bot._Compiler(b0, 7)
+        tests = [compiler.conjunct(bot.parse_bot(text))]
+        mask = 0 if value is None else b0.domain.index.mask([value])
+        assert compiler.plan._static["x"] == mask, text
+        found = compiler.plan.search(tests)
+        assert found == (None if value is None else {"x": value}), text
+
+
 @pytest.mark.parametrize("st", [0, 4, 7])
 def test_top_event_time_under_past_lies_before_the_speech_time(m0, st):
     m = m0.model
