@@ -10,120 +10,45 @@ evaluators of both languages propagate them.
 The records, models and domain indexes here are immutable after
 construction and safe to share across threads.  `CandidatePlan` and
 `Compiler` are not: compiling a formula narrows its plan in place
-(`restrict`, `within`, `inside`, `equal_to`), so each belongs to one
-compile and the search that follows it.  Only `equal_to` reads the
-variables bound so far; a literal is joined once, while compiling.
+(`restrict`, `inside`, `equal_to`), so each belongs to one compile and
+the search that follows it.  Only `equal_to` reads the variables bound
+so far; a literal is joined once, while compiling.
 """
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, total_ordering
 from itertools import compress
 from operator import attrgetter, itemgetter
+from types import FunctionType
 from typing import Iterator, Union
 
 
 # ---------------------------------------------------------------------------
-# Records: immutable value classes, built without generating code per class
+# Records: immutable value classes, whose __init__ is compiled once per
+# field count and shared by every class with that many fields
 
 
-class factory:
-    """A field default made anew for each instance: ``seen: set = factory(set)``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
-# Positional initialisers by field count, filled by slot setters s0, s1, ...
-# Their parameters are renamed to the fields (see _init), so that keyword
-# construction, defaults and argument errors work as for a written __init__.
-def _init0(post):
-    def __init__(self):
-        if post:
-            post(self)
-    return __init__
-
-
-def _init1(post, s0):
-    def __init__(self, a):
-        s0(self, a)
-        if post:
-            post(self)
-    return __init__
-
-
-def _init2(post, s0, s1):
-    def __init__(self, a, b):
-        s0(self, a)
-        s1(self, b)
-        if post:
-            post(self)
-    return __init__
-
-
-def _init3(post, s0, s1, s2):
-    def __init__(self, a, b, c):
-        s0(self, a)
-        s1(self, b)
-        s2(self, c)
-        if post:
-            post(self)
-    return __init__
-
-
-def _init4(post, s0, s1, s2, s3):
-    def __init__(self, a, b, c, d):
-        s0(self, a)
-        s1(self, b)
-        s2(self, c)
-        s3(self, d)
-        if post:
-            post(self)
-    return __init__
-
-
-_INITS = (_init0, _init1, _init2, _init3, _init4)
-
-
-def _bind_init(post, names, setters, defaults):
-    """The initialiser of a record with more fields than _INITS covers, or
-    with a factory default; it binds its arguments itself."""
-    required = len(names) - len(defaults)
-
-    def __init__(self, *args, **kw):
-        if len(args) > len(names):
-            raise TypeError(f"{type(self).__name__}() takes {len(names)} "
-                            f"arguments, got {len(args)}")
-        values = list(args)
-        for i in range(len(args), len(names)):
-            if names[i] in kw:
-                values.append(kw.pop(names[i]))
-            elif i >= required:
-                d = defaults[i - required]
-                values.append(d.make() if type(d) is factory else d)
-            else:
-                raise TypeError(f"{type(self).__name__}() missing argument "
-                                f"{names[i]!r}")
-        if kw:
-            raise TypeError(f"{type(self).__name__}() got an unexpected or "
-                            f"repeated argument {next(iter(kw))!r}")
-        for s, v in zip(setters, values):
-            s(self, v)
-        if post:
-            post(self)
-    return __init__
+@lru_cache(maxsize=None)
+def _template(count):
+    """The code of a record __init__ of count fields: it sets each field
+    through its slot setter _s0, _s1, ..., then calls _post if set."""
+    params = [f"v{i}" for i in range(count)]
+    lines = [f"def __init__({', '.join(['self', *params])}):"]
+    lines += [f"    _s{i}(self, {v})" for i, v in enumerate(params)]
+    lines += ["    if _post:", "        _post(self)"]
+    scope = {}
+    exec(compile("\n".join(lines), f"<record __init__/{count}>", "exec"), scope)
+    return scope["__init__"].__code__
 
 
 def _init(cls, names, defaults):
-    post = cls.__dict__.get("__post_init__")
-    setters = [cls.__dict__[n].__set__ for n in names]
-    if len(names) >= len(_INITS) or any(type(d) is factory for d in defaults):
-        return _bind_init(post, names, setters, defaults)
-    init = _INITS[len(names)](post, *setters)
-    init.__code__ = init.__code__.replace(co_varnames=("self", *names))
-    init.__defaults__ = tuple(defaults) or None
-    return init
+    """cls's __init__: its field count's template with the parameters
+    renamed to the fields, so that Python binds the arguments, fills the
+    defaults and raises the argument errors of a written __init__."""
+    scope = {f"_s{i}": cls.__dict__[n].__set__ for i, n in enumerate(names)}
+    scope.update(_post=cls.__dict__.get("__post_init__"), __name__=cls.__module__)
+    code = _template(len(names)).replace(co_varnames=("self", *names))
+    return FunctionType(code, scope, "__init__", tuple(defaults) or None)
 
 
 def _key(names):
@@ -141,8 +66,8 @@ class _RecordType(type):
     gives the class the methods it does not define itself: ``__init__``
     (positional or keyword, then ``__post_init__`` if defined), ``__eq__``
     (same class and equal fields), ``__hash__`` and ``__repr__``.  A field
-    with a default (a value, or a `factory`) comes after those without, and
-    a record class extends no record class that has fields.  The class keeps
+    with a default comes after those without, and a record class extends
+    no record class that has fields.  The class keeps
     the getter of a record's field values, as a tuple, in ``_values``."""
 
     def __new__(mcs, name, bases, ns):
@@ -657,10 +582,10 @@ class CandidatePlan:
 
     A compiler narrows the plan as it compiles a formula, with filters
     that every satisfying assignment passes, so dropping the rest loses
-    no witness: `restrict` and `within` give a variable a static mask of
-    the domain index (see `DomainIndex`), `inside` an arc to another
-    variable's mask, and `equal_to` the one value an equality gives it.
-    An unrestricted variable takes the whole domain.  Candidates keep
+    no witness: `restrict` gives a variable a static mask of the domain
+    index (see `DomainIndex`), `inside` an arc to another variable's mask,
+    and `equal_to` the one value an equality gives it.  An unrestricted
+    variable takes the whole domain.  Candidates keep
     domain order, which keeps the first witness the one plain nested
     enumeration over the whole domain finds.  Only `equal_to` reads other
     variables, and it narrows a variable only where `search` binds them
@@ -677,11 +602,6 @@ class CandidatePlan:
         """Restrict a variable to the values of a mask."""
         old = self._static.get(name)
         self._static[name] = mask if old is None else old & mask
-
-    def within(self, name, windows) -> None:
-        """Restrict a variable to the subperiods of the given windows; a
-        window that is no Period allows none."""
-        self.restrict(name, self.index.subperiods(windows))
 
     def inside(self, name, other) -> None:
         """Restrict a variable, before the search, to the subperiods of
@@ -715,7 +635,7 @@ class CandidatePlan:
         for name, other in self._inside:
             windows = self._static.get(other)
             if windows is not None:
-                self.within(name, index.members(windows))
+                self.restrict(name, index.subperiods(index.members(windows)))
         order, level, checks = [], {}, [[]]
         for test, names in tests:
             deepest = 0  # the number of names bound when the test runs
@@ -884,7 +804,7 @@ class Compiler:
         (var, names), (window, more) = x, w
         if type(var) is itemgetter:
             if not more:
-                self.plan.within(names[0], [window])
+                self.plan.restrict(names[0], self.plan.index.subperiods([window]))
             elif type(window) is itemgetter:
                 self.plan.inside(names[0], more[0])
         return _lift(subper, x, w)

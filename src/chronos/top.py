@@ -9,7 +9,7 @@ which are free by construction; there is no binding operator.
 """
 from __future__ import annotations
 
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from . import lexer
 from .core import (
@@ -379,7 +379,7 @@ class _Compiler(Compiler):
 
     def _fills(self, f):
         # the event time must cover the whole window
-        self._test(_lift(eq, self.et, self.lt))
+        self._test(self._equal(self.et, self.lt))
         self.formula(f.body)
 
     def _ntense(self, f):

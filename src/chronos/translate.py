@@ -10,7 +10,7 @@ unrestricted.
 from __future__ import annotations
 
 from . import bot, top
-from .core import Const, EtaMapping, Record, Var, chain, conjoin, factory
+from .core import Const, EtaMapping, Record, Var, chain, conjoin
 
 
 class EtaCollision(Exception):
@@ -26,18 +26,17 @@ _PAST_WINDOW = bot.Interval(bot.BEG, bot.NOW, True, False)
 _NOW_PERIOD = bot.Interval(bot.NOW, bot.NOW, True, True)
 
 
-class TransContext(Record):
+class TransContext:
     """Fresh-name source and functor mappings threaded through one rewrite;
-    the one mutable record, as drawing a name advances the counter."""
+    mutable, as drawing a name advances the counter."""
 
-    eta: EtaMapping = factory(EtaMapping)
-    used_vars: set = factory(set)
-    used_functors: frozenset = frozenset()
-    counter: int = 0
-    mutation: str | None = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    def __init__(self, eta=None, used_vars=None, used_functors=frozenset(),
+                 counter=0, mutation=None):
+        self.eta = EtaMapping() if eta is None else eta
+        self.used_vars = set() if used_vars is None else used_vars
+        self.used_functors = used_functors
+        self.counter = counter
+        self.mutation = mutation
 
     def fresh_var(self, role: str) -> Var:
         while True:
@@ -183,7 +182,7 @@ def translate(f, *, eta: EtaMapping | None = None, mutation: str | None = None):
         raise ValueError(f"unknown mutation {mutation!r}")
     names, functors = top.symbols(f)
     ctx = TransContext(
-        eta=eta if eta is not None else EtaMapping(),
+        eta=eta,
         used_vars=set(names),
         used_functors=frozenset(functors),
         mutation=mutation,

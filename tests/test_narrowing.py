@@ -6,6 +6,7 @@ Each test records the values a search tries for one name, with a test that
 rejects them all, so what it sees are exactly that name's candidates."""
 import pytest
 
+import reference
 from chronos import bot, top
 from chronos.core import Period, derive_bot_model, subper
 from chronos.modelfile import parse_model
@@ -106,6 +107,29 @@ def test_top_event_time_under_past_lies_before_the_speech_time(m0, st):
                   top._EVENT_TIME)
     # within [0, st-1] and within the literal's maximal period [2, 5]
     assert seen == [p for p in _subperiods(m, P(2, 5)) if p.hi < st]
+
+
+def test_top_event_time_under_past_fills_takes_the_one_past_window():
+    """Past[?e, Fills[q(a)]]: Past folds the window to [0, st-1], and Fills
+    makes the event time equal it, so that window is the event time's one
+    candidate, kept where q(a)'s period [0,5] covers it (none at st 0,
+    where the window is empty).  The witness is the one plain enumeration
+    under the reference semantics finds first."""
+    m = parse_model("timeline 10\nspeech 4\nobject a\npred q/1\n"
+                    "maximal q(a) = [0,5]\n").model
+    f = top.parse_top("Past[?e, Fills[q(a)]]")
+    full = m.timeline.full()
+    for st in range(m.timeline.size):
+        compiler = top._Compiler(m, st, top._EVENT_TIME, full)
+        compiler.formula(f)
+        plan = compiler.plan
+        window = [P(0, st - 1)] if 0 < st <= 6 else []
+        assert plan._static[top._EVENT_TIME] == plan.index.mask(window), st
+        want = next(((({"e": e}, et)) for et in m.timeline.periods()
+                     for e in m.objects()
+                     if reference.eval_top(m, st, et, full, {"e": e}, f)), None)
+        assert top.denot_top_witness(m, st, f) == want, st
+    assert top.denot_top_witness(m, 4, f) == ({"e": P(0, 3)}, P(0, 3))
 
 
 def test_repeated_variable_narrows_the_literal_before_the_search():

@@ -5,6 +5,7 @@ reprs and error messages below were recorded when these classes were still
 frozen dataclasses, so they pin the observable behaviour across that change.
 """
 import copy
+import inspect
 import pickle
 import subprocess
 import sys
@@ -69,7 +70,6 @@ INSTANCES = [
                        shrunk_st=0, shrunk_formula="q(a)", shrunk_model_digest="def"),
     equiv.CampaignReport(equiv.GenParams(), 10, None, ()),
     modelfile.CompiledModel(MODEL, 2),
-    TransContext(used_vars={"e0"}),
 ]
 
 _LIT = "Literal(functor='q', args=(Const(name='a'), Var(name='x')))"
@@ -143,14 +143,20 @@ REPRS = {
         "mutation=None, disagreements=())"
     ),
     "CompiledModel": f"CompiledModel(model={_MODEL}, speech=2)",
-    "TransContext": (
-        "TransContext(eta=EtaMapping(culm_prefix='cmp_', span_prefix='max_'), "
-        "used_vars={'e0'}, used_functors=frozenset(), counter=0, mutation=None)"
-    ),
+}
+
+#: the field defaults of the record classes that have any
+DEFAULTS = {
+    "Interval": {"lo_closed": True, "hi_closed": True},
+    "EtaMapping": {"culm_prefix": "cmp_", "span_prefix": "max_"},
+    "GenParams": {"timeline_size": 8, "atom_count": 3, "pred_count": 3,
+                  "max_arity": 2, "max_depth": 4, "max_periods_per_tuple": 2,
+                  "max_free_vars": 3, "seed": 0},
+    "Verdict": {"witness": None},
 }
 
 #: their fields hold dicts or sets, so hashing them raises TypeError
-UNHASHABLE = {"TopModel", "BotModel", "Verdict", "CompiledModel", "TransContext"}
+UNHASHABLE = {"TopModel", "BotModel", "Verdict", "CompiledModel"}
 
 
 def _ids(xs):
@@ -166,13 +172,22 @@ def _record_classes():
 
 
 def test_one_instance_of_every_record_class():
-    assert len(INSTANCES) == 44
+    assert len(INSTANCES) == 43
     assert {type(x) for x in INSTANCES} == _record_classes()
 
 
 @pytest.mark.parametrize("x", INSTANCES, ids=_ids(INSTANCES))
 def test_repr_as_recorded(x):
     assert repr(x) == REPRS[type(x).__name__]
+
+
+@pytest.mark.parametrize("x", INSTANCES, ids=_ids(INSTANCES))
+def test_signature_lists_the_fields_with_their_defaults(x):
+    params = inspect.signature(type(x)).parameters.values()
+    assert tuple(p.name for p in params) == fields(x)
+    assert {p.kind for p in params} <= {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert {p.name: p.default for p in params if p.default is not p.empty} == (
+        DEFAULTS.get(type(x).__name__, {}))
 
 
 @pytest.mark.parametrize("x", INSTANCES, ids=_ids(INSTANCES))
@@ -232,9 +247,7 @@ def test_and_compares_along_its_spine():
     assert a != And(And(LIT, LIT), LIT)
 
 
-@pytest.mark.parametrize(
-    "x", [x for x in INSTANCES if type(x) is not TransContext],
-    ids=_ids(x for x in INSTANCES if type(x) is not TransContext))
+@pytest.mark.parametrize("x", INSTANCES, ids=_ids(INSTANCES))
 def test_fields_cannot_be_assigned_or_deleted(x):
     for name in fields(x) + ("extra",):
         with pytest.raises(AttributeError):
@@ -341,6 +354,37 @@ def test_bad_arguments_are_type_errors():
         equiv.GenParams(seeds=1)
     with pytest.raises(TypeError):
         equiv.Disagreement(case=1)
+
+
+_MODEL_VALUES = [getattr(MODEL, n) for n in fields(MODEL)]
+
+
+@pytest.mark.parametrize("args, kw, message", [
+    (_MODEL_VALUES[:-1], {}, "missing 1 required positional argument: 'gparts'"),
+    (_MODEL_VALUES, {"nosuch": 1}, "got an unexpected keyword argument 'nosuch'"),
+    (_MODEL_VALUES, {"timeline": TL}, "got multiple values for argument 'timeline'"),
+], ids=["missing", "unknown", "repeated"])
+def test_a_seven_field_record_raises_the_argument_errors_of_python(args, kw, message):
+    with pytest.raises(TypeError, match=message):
+        core.TopModel(*args, **kw)
+
+
+def test_one_init_template_per_field_count():
+    # in a fresh interpreter, once every record class of the package is made
+    code = ("import sys, chronos.cli; from chronos import core; "
+            "counts = {len(c._fields) for m in list(sys.modules.values()) "
+            "if m.__name__.startswith('chronos') for c in vars(m).values() "
+            "if isinstance(c, type) and issubclass(c, core.Record)}; "
+            "print(len(counts), core._template.cache_info().currsize)")
+    counts, templates = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}, check=True,
+    ).stdout.split()
+    assert counts == templates
+    for x in INSTANCES:
+        init, n = type(x).__init__.__code__, len(fields(x))
+        assert init.co_code == core._template(n).co_code
+        assert init.co_varnames[:n + 1] == ("self", *fields(x))
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
