@@ -34,26 +34,7 @@ from .core import (
     subper,
     validate_model,
 )
-from .equiv import (
-    CampaignReport,
-    GenParams,
-    Verdict,
-    check_equivalence,
-    gen_case,
-    gen_formula,
-    gen_model,
-    run_campaign,
-    shrink_counterexample,
-)
 from .lexer import ArityError, ParseError
-from .modelfile import (
-    CompiledModel,
-    ModelFileError,
-    ModelValidationError,
-    format_model,
-    load_model,
-    parse_model,
-)
 from .top import (
     EvalIndex,
     denot_top,
@@ -67,3 +48,34 @@ from .top import (
 from .translate import EtaCollision, MUTATIONS, TransContext, alpha_equivalent, trans, translate
 
 __version__ = "0.1.0"
+
+#: names loaded on first use (PEP 562): the campaign harness brings in
+#: hashlib and random, and neither it nor model files are needed to parse
+#: or translate a formula
+_LAZY = {
+    **dict.fromkeys((
+        "CampaignReport", "GenParams", "Verdict", "check_equivalence",
+        "gen_case", "gen_formula", "gen_model", "run_campaign",
+        "shrink_counterexample"), "equiv"),
+    **dict.fromkeys((
+        "CompiledModel", "ModelFileError", "ModelValidationError",
+        "format_model", "load_model", "parse_model"), "modelfile"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]

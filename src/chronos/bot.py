@@ -159,8 +159,8 @@ class _BotParser(lexer.Parser):
     max_depth = 2 * lexer.MAX_DEPTH + 2
 
     def unit(self):
-        kind, name, _, _ = self.tokens[self.pos]
-        if kind != lexer.IDENT:
+        name = self.tokens[self.pos]
+        if name[:1] in lexer.KINDS:
             self.error("expected an atomic formula")
         if name not in _RESERVED:
             return self.literal()
@@ -183,18 +183,19 @@ class _BotParser(lexer.Parser):
         elif name == "period":
             f = IsPeriod(self.term())
         else:  # part
-            part = self.expect(lexer.IDENT, "partitioning name")[1]
+            part = self.expect(lexer.IDENT, "partitioning name")
             self.expect(",")
             f = InPart(part, self.term())
         self.expect(")")
         return f
 
     def term(self):
-        kind, name, _, _ = self.tokens[self.pos]
-        if kind == lexer.VAR:
+        name = self.tokens[self.pos]
+        head = name[:1]
+        if head == "?":
             self.pos += 1
             return self.vars[name]
-        if kind == lexer.IDENT:
+        if head not in lexer.KINDS:
             if name not in _RESERVED:
                 self.pos += 1
                 return self.consts[name]
@@ -203,13 +204,13 @@ class _BotParser(lexer.Parser):
             if name not in _ATOM_KEYWORDS:
                 return self.point_expr()
             self.error(f"misplaced keyword {name!r}")
-        if kind == "[" or kind == "(":
+        if name == "[" or name == "(":
             return self.period_expr()
         self.error("expected a term")
 
     def point_expr(self):
-        kind, name, _, _ = self.tokens[self.pos]
-        if kind != lexer.IDENT:
+        name = self.tokens[self.pos]
+        if name[:1] in lexer.KINDS:
             self.expect(lexer.IDENT, "point expression")
         point = _POINT_KEYWORDS.get(name)
         if point is not None:
@@ -227,21 +228,22 @@ class _BotParser(lexer.Parser):
         return e
 
     def period_expr(self):
-        kind, name, _, _ = self.tokens[self.pos]
-        if kind == lexer.VAR:
+        name = self.tokens[self.pos]
+        head = name[:1]
+        if head == "?":
             self.pos += 1
             return TermRef(self.vars[name])
-        if kind == "[" or kind == "(":
+        if name == "[" or name == "(":
             self.pos += 1
             lo = self.point_expr()
             self.expect(",")
             hi = self.point_expr()
-            close = self.tokens[self.pos][0]
+            close = self.tokens[self.pos]
             if close != "]" and close != ")":
                 self.error("expected ']' or ')' closing an interval")
             self.pos += 1
-            return Interval(lo, hi, kind == "[", close == "]")
-        if kind == lexer.IDENT:
+            return Interval(lo, hi, name == "[", close == "]")
+        if head not in lexer.KINDS:
             if name not in _RESERVED:
                 self.pos += 1
                 return TermRef(self.consts[name])

@@ -12,10 +12,12 @@ import sys
 
 from . import bot, top
 from .core import EvalError, FunctorCollision, Period, derive_bot_model, fields
-from .equiv import GenParams, run_campaign
 from .lexer import ParseError
-from .modelfile import ModelFileError, load_model
 from .translate import MUTATIONS, EtaCollision, alpha_equivalent, translate
+
+# The campaign harness (equiv, with hashlib and random) and model files
+# (modelfile) are imported by the commands that use them, so that parse
+# and translate load neither.
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -54,6 +56,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .modelfile import load_model
+
     compiled = load_model(args.model)
     m, st = compiled.model, compiled.speech
     if args.lang == "top":
@@ -76,14 +80,26 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def run_campaign(params, cases, *, mutation=None):
+    """`equiv.run_campaign`, imported on the first call."""
+    from .equiv import run_campaign
+
+    return run_campaign(params, cases, mutation=mutation)
+
+
 def _cmd_check(args) -> int:
+    from .equiv import GenParams
+
     params = GenParams(**{name: getattr(args, name) for name in fields(GenParams)})
     report = run_campaign(params, args.cases, mutation=args.mutate)
     sys.stdout.write(report.text())
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(check_options: bool = True) -> argparse.ArgumentParser:
+    """The command line. check_options adds check's generator bounds, which
+    come from `equiv.GenParams`; main adds them only when the command line
+    names check, so that no other command imports equiv."""
     parser = argparse.ArgumentParser(
         prog="chronos",
         description="TOP and BOT temporal formulas: parse, translate, "
@@ -122,22 +138,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=1000)
     p.add_argument("--mutate", choices=list(MUTATIONS))
-    defaults = GenParams()
-    for name in fields(GenParams):  # --seed comes first, above
-        if name != "seed":
-            p.add_argument("--" + name.replace("_", "-"), type=int,
-                           default=getattr(defaults, name))
+    if check_options:
+        from .equiv import GenParams
+
+        defaults = GenParams()
+        for name in fields(GenParams):  # --seed comes first, above
+            if name != "seed":
+                p.add_argument("--" + name.replace("_", "-"), type=int,
+                               default=getattr(defaults, name))
     p.set_defaults(func=_cmd_check)
 
     return parser
 
 
+def _input_errors() -> tuple:
+    """The exceptions that are input errors, read only once one is raised."""
+    from .modelfile import ModelFileError
+
+    return (ParseError, ModelFileError, EvalError, FunctorCollision,
+            EtaCollision, ValueError, OSError)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser("check" in argv).parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ModelFileError, EvalError, FunctorCollision,
-            EtaCollision, ValueError, OSError) as e:
+    except _input_errors() as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:  # a safety net: no formula within the caps gets here

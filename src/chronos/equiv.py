@@ -242,7 +242,9 @@ def gen_formula(params: GenParams, model: TopModel, rng=None):
             return top.Ntense(var(), build(depth - 1))
         return top.For(rng.choice(cpart_names), rng.randrange(1, 3), build(depth - 1))
 
-    return build(rng.randrange(1, params.max_depth + 1))
+    f = build(rng.randrange(1, params.max_depth + 1))
+    del build  # build calls itself through this cell, a cycle holding rng
+    return f
 
 
 # ---------------------------------------------------------------------------

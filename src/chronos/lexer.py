@@ -3,13 +3,16 @@
 Both syntaxes share these lexical rules. An identifier starts with a
 letter (``str.isalpha``, non-ASCII letters included) or ``_`` and goes on
 with letters, digits (``str.isalnum``) or ``_``; model files declare names
-by the same rule (`is_identifier`). A variable is ``?`` and an identifier;
-its token text is the name alone. An integer is a run of ASCII digits
-``0-9``. The punctuation is ``[ ] ( ) , &``. Blanks are space, tab and
-carriage return, and a comment runs from ``#`` to the end of the line.
+by the same rule (`is_identifier`). A variable is ``?`` and an identifier.
+An integer is a run of ASCII digits ``0-9``. The punctuation is
+``[ ] ( ) , &``. Blanks are space, tab and carriage return, and a comment
+runs from ``#`` to the end of the line.
 
-Lines and columns are 1-based, a tab being one column, and an error is
-reported at the start of its token. End of input sits after the last
+The parsers read the texts of the tokens, from one ``findall`` per formula
+(`_texts`): a variable keeps its ``?``, and end of input is ``""``. Lines
+and columns come from the tokenizer `_scan`, which is looked up only when
+an error is raised. They are 1-based, a tab being one column, and an error
+is reported at the start of its token. End of input sits after the last
 character, trailing blanks included, but a trailing comment does not move
 it: end of input is then reported at the ``#``.
 
@@ -46,10 +49,18 @@ class ArityError(ParseError):
     """A functor is used with two different arities in one formula."""
 
 
-IDENT = "ident"
-VAR = "var"
-INT = "int"
-EOF = "eof"
+# A kind is IDENT, VAR, INT, EOF or the punctuation character itself. The
+# first four are spelled as no token is, so a text equals a kind only when
+# it is that punctuation, and ``var`` or ``eof`` is always an identifier.
+IDENT = "<ident>"
+VAR = "<var>"
+INT = "<int>"
+EOF = "<eof>"
+
+#: the kind of a token text by its first character; a text whose first
+#: character is not a key here is an identifier
+KINDS = {"": EOF, "?": VAR, **dict.fromkeys("0123456789", INT),
+         **{c: c for c in "[](),&"}}
 
 
 # Blanks, then one token. Group numbers are the dispatch keys below, the
@@ -71,8 +82,9 @@ _SCAN = re.compile(
 
 
 def _scan(text: str) -> list:
-    """The tokens of text as plain (kind, text, line, column) tuples; the
-    parsers read these."""
+    """The tokens of text as (kind, text, line, column) tuples, a variable's
+    text being its name alone; raises the ParseError of the first character
+    that starts no token. Every error takes its line and column from here."""
     tokens = []
     append = tokens.append
     line, base = 1, -1  # base: index of the newline before this line
@@ -105,6 +117,37 @@ def _scan(text: str) -> list:
     return tokens
 
 
+# Blanks and comments, then the text of one token, split where `_SCAN`
+# splits: a run of ASCII digits ends a word, a variable keeps its "?", and
+# end of input is "". A name starts with \w other than a decimal digit,
+# which in ASCII is a letter or "_". Any other character, or a "?" without
+# a name, takes the rest of the input as its text, the last before the end.
+# Some alternative matches wherever the blanks end, so they never backtrack.
+_TEXT = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    r"([\[\](),&]|[0-9]+|\??[^\W\d]\w*|(?s:.+)|\Z)")
+
+
+def _texts(text: str) -> list:
+    """The token texts of text, one for each token of `_scan(text)`; raises
+    `_scan`'s ParseError if a text is no token's."""
+    texts = _TEXT.findall(text)
+    if texts[-2:] == ["", ""]:  # after trailing blanks the end matches twice
+        texts.pop()
+    # In ASCII only the last text can be no token's; outside it a name may
+    # also start with a numeral such as "²", which only _scan refuses
+    if not text.isascii() or len(texts) > 1 and not _is_token(texts[-2]):
+        _scan(text)  # raises if a text is no token's
+    return texts
+
+
+def _is_token(text: str) -> bool:
+    kind = KINDS.get(text[:1], IDENT)
+    if kind == VAR:
+        return is_identifier(text[1:])
+    return kind != IDENT or is_identifier(text)
+
+
 def is_identifier(name: str) -> bool:
     """True iff name is one identifier token: the rule model files follow
     for the names they declare."""
@@ -113,25 +156,29 @@ def is_identifier(name: str) -> bool:
 
 
 class Parser:
-    """Recursive descent over the tokens of one text, with an integer cursor.
+    """Recursive descent over the token texts of one text, with an integer
+    cursor.
 
     A language adds `unit`, an operand of ``&`` other than a group, and
-    `term`, an argument of a literal. They read the (kind, text, line,
-    column) tuples of `_scan` and test their kinds inline. A nested
-    construct calls `enter` at its opening token and lowers `depth` when it
-    closes. Within one parse, each variable or constant name is one `Var`
-    or `Const` object.
+    `term`, an argument of a literal. They read the texts of `_texts` and
+    test kinds on the texts inline: punctuation is its own text, a variable
+    starts with ``?``, and an identifier's first character is no key of
+    `KINDS`. A line and column are looked up only when an error is raised.
+    A nested construct calls `enter` at its opening token and lowers
+    `depth` when it closes. Within one parse, each variable or constant
+    name is one `Var` or `Const` object.
     """
 
     reserved = frozenset()  # names that cannot be a functor
     max_depth = MAX_DEPTH
 
     def __init__(self, text: str):
-        self.tokens = _scan(text)
+        self.text = text
+        self.tokens = _texts(text)
         self.pos = 0
         self.depth = 0
         self.arities = {}
-        self.vars = _Leaves(Var)
+        self.vars = _Leaves(_var)
         self.consts = _Leaves(Const)
 
     def parse(self):
@@ -139,18 +186,20 @@ class Parser:
         self.expect(EOF, "end of input")
         return f
 
-    def error(self, message: str, tok=None):
-        """Raise a ParseError at tok, by default the current token."""
-        _, _, line, column = tok or self.tokens[self.pos]
-        raise ParseError(message, line, column)
+    def error(self, message: str, at: int | None = None, cls=ParseError):
+        """Raise a cls at the token at index at, by default the current one."""
+        _, _, line, column = _scan(self.text)[self.pos if at is None else at]
+        raise cls(message, line, column)
 
-    def expect(self, kind: str, what: str | None = None) -> tuple:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            found = tok[1] if tok[0] != EOF else "end of input"
+    def expect(self, kind: str, what: str | None = None) -> str:
+        """The current token's text, after which the cursor moves on; an
+        error unless the token is of that kind."""
+        text = self.tokens[self.pos]
+        if text != kind and KINDS.get(text[:1], IDENT) != kind:
+            found = text[1:] if text[:1] == "?" else text or "end of input"
             self.error(f"expected {what or kind}, found {found!r}")
         self.pos += 1
-        return tok
+        return text
 
     def enter(self):
         """One level deeper, at the opening token of a nested construct."""
@@ -164,7 +213,7 @@ class Parser:
         tokens = self.tokens
         units = []
         while True:
-            if tokens[self.pos][0] == "(":
+            if tokens[self.pos] == "(":
                 self.enter()
                 self.pos += 1
                 f = self.formula()
@@ -173,38 +222,41 @@ class Parser:
             else:
                 f = self.unit()
             units.append(f)
-            if tokens[self.pos][0] != "&":
+            if tokens[self.pos] != "&":
                 return conjoin(units)
             self.pos += 1
 
     def literal(self):
         """functor(term, ...); a functor keeps the arity it is first used with."""
-        tok = self.expect(IDENT, "predicate functor")
-        functor = tok[1]
+        at = self.pos
+        functor = self.expect(IDENT, "predicate functor")
         if functor in self.reserved:
-            self.error(f"{functor!r} is reserved and cannot be a functor", tok)
+            self.error(f"{functor!r} is reserved and cannot be a functor", at)
         tokens = self.tokens
-        if tokens[self.pos][0] != "(":
+        if tokens[self.pos] != "(":
             self.expect("(")
         self.pos += 1
         args = [self.term()]
-        while tokens[self.pos][0] == ",":
+        while tokens[self.pos] == ",":
             self.pos += 1
             args.append(self.term())
-        if tokens[self.pos][0] != ")":
+        if tokens[self.pos] != ")":
             self.expect(")")
         self.pos += 1
         n = len(args)
         seen = self.arities.setdefault(functor, n)
         if seen != n:
-            raise ArityError(
-                f"functor {functor!r} used with arity {n} after {seen}",
-                tok[2], tok[3])
+            self.error(f"functor {functor!r} used with arity {n} after {seen}",
+                       at, ArityError)
         return Literal(functor, tuple(args))
 
 
+def _var(text: str) -> Var:
+    return Var(text[1:])
+
+
 class _Leaves(dict):
-    """name -> leaf, made on first lookup."""
+    """token text -> leaf, made on first lookup."""
 
     def __init__(self, make):
         self.make = make

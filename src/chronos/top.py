@@ -122,18 +122,18 @@ class _TopParser(lexer.Parser):
     reserved = _RESERVED
 
     def unit(self):
-        tok = self.tokens[self.pos]
-        kind, name, _, _ = tok
-        if kind != lexer.IDENT:
-            self.error("expected a formula")
-        if name not in _OPERATORS:
+        at = self.pos
+        name = self.tokens[at]
+        op = _OPERATORS.get(name)
+        if op is None:
+            if name[:1] in lexer.KINDS:
+                self.error("expected a formula")
             return self.literal()
         self.enter()
         self.pos += 1
-        if self.tokens[self.pos][0] != "[":
-            self.error(f"{name!r} is an operator and needs [...]", tok)
+        if self.tokens[self.pos] != "[":
+            self.error(f"{name!r} is an operator and needs [...]", at)
         self.pos += 1
-        op = _OPERATORS[name]
         if op is Pres or op is Fills:
             f = op(self.formula())
         elif op is Past or op is Perf:
@@ -147,7 +147,7 @@ class _TopParser(lexer.Parser):
         elif op is Culm:
             f = Culm(self.literal())
         elif op is Ntense:
-            if self.tokens[self.pos][:2] == (lexer.IDENT, "now"):
+            if self.tokens[self.pos] == "now":
                 self.pos += 1
                 v = None
             else:
@@ -155,21 +155,21 @@ class _TopParser(lexer.Parser):
             self.expect(",")
             f = Ntense(v, self.formula())
         elif op is For:
-            part = self.expect(lexer.IDENT, "partitioning name")[1]
+            part = self.expect(lexer.IDENT, "partitioning name")
             self.expect(",")
-            qty_tok = self.expect(lexer.INT, "quantity")
-            digits = qty_tok[1].lstrip("0")
+            qty = self.pos
+            digits = self.expect(lexer.INT, "quantity").lstrip("0")
             if not digits:
-                self.error("quantity must be at least 1", qty_tok)
+                self.error("quantity must be at least 1", qty)
             # lengths first, as int() refuses more than 4,300 digits
             if (len(digits) > len(str(lexer.MAX_QUANTITY))
                     or int(digits) > lexer.MAX_QUANTITY):
                 self.error(f"quantity must be at most {lexer.MAX_QUANTITY}",
-                           qty_tok)
+                           qty)
             self.expect(",")
             f = For(part, int(digits), self.formula())
         else:  # Part
-            part = self.expect(lexer.IDENT, "partitioning name")[1]
+            part = self.expect(lexer.IDENT, "partitioning name")
             self.expect(",")
             f = Part(part, self.variable())
         self.expect("]")
@@ -177,11 +177,12 @@ class _TopParser(lexer.Parser):
         return f
 
     def term(self):
-        kind, name, _, _ = self.tokens[self.pos]
-        if kind == lexer.VAR:
+        name = self.tokens[self.pos]
+        head = name[:1]
+        if head == "?":
             self.pos += 1
             return self.vars[name]
-        if kind != lexer.IDENT:
+        if head in lexer.KINDS:
             self.expect(lexer.IDENT, "constant or variable")
         if name in _RESERVED:
             self.error(f"{name!r} is reserved and cannot be a constant")
@@ -189,7 +190,7 @@ class _TopParser(lexer.Parser):
         return self.consts[name]
 
     def variable(self):
-        return self.vars[self.expect(lexer.VAR, "variable")[1]]
+        return self.vars[self.expect(lexer.VAR, "variable")]
 
 
 def parse_top(text: str):

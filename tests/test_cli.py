@@ -1,5 +1,7 @@
 """Command-line behavior: output, diagnostics, and exit codes."""
 import hashlib
+import subprocess
+import sys
 from pathlib import Path
 
 from chronos import cli
@@ -301,3 +303,18 @@ def test_mutation_report_is_pinned(capsys):
     assert len(out.splitlines()) == 40
     assert (hashlib.sha1(out.encode()).hexdigest()
             == "1975ee13968f6aaf5901c04bb2c52fd5616aae07")
+
+
+def test_parse_and_translate_load_neither_the_campaign_nor_model_files():
+    # -S: no site hooks, so only what the commands load is counted
+    code = ("import sys; from chronos.cli import main; "
+            "main(['parse', 'top', 'p(a)']); main(['translate', 'Past[?e, p(a)]']); "
+            "print(sorted({'chronos.equiv', 'chronos.modelfile', 'hashlib'}"
+            " & set(sys.modules)))")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+             "PYTHONDONTWRITEBYTECODE": "1"}, check=True,
+    ).stdout
+    assert out.splitlines()[0] == "p(a)"
+    assert out.splitlines()[-1] == "[]"

@@ -1,5 +1,6 @@
 """Generators, the TOP/BOT cross-check, campaign determinism, mutation
 sensitivity, and counterexample shrinking."""
+import gc
 import hashlib
 import random
 
@@ -213,6 +214,21 @@ def test_compilers_restrict_only_names_their_tests_read(monkeypatch):
 def test_gen_case_deterministic():
     params = GenParams(seed=5)
     assert gen_case(params, 17) == gen_case(params, 17)
+
+
+def test_gen_case_leaves_no_cyclic_garbage():
+    # a cycle would hold the case's random.Random until the collector runs
+    params = GenParams(seed=42)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        cases = [gen_case(params, i) for i in range(100)]
+        check_equivalence(*cases[0])
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_mutation_detected_and_shrinks_stay_disagreeing():

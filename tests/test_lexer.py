@@ -1,7 +1,9 @@
-"""The compiled-pattern tokenizer against the character-loop reference.
+"""The compiled-pattern tokenizer against the character-loop reference,
+and the token texts the parsers read against the tokenizer.
 
-Both must give the same (kind, text, line, column) tuples for a text, or
-raise a ParseError with the same message, line and column.
+Both tokenizers must give the same (kind, text, line, column) tuples for a
+text, or raise a ParseError with the same message, line and column. The
+texts must be the tokens' texts one for one, or the same ParseError.
 """
 import random
 import re
@@ -10,7 +12,7 @@ import sys
 import pytest
 
 import reference
-from chronos.lexer import EOF, IDENT, INT, VAR, ParseError
+from chronos.lexer import EOF, IDENT, INT, VAR, ParseError, _texts
 from tokens import Token, tokenize
 
 #: every code point outside the surrogates
@@ -72,21 +74,25 @@ _ALPHABET = "[](),&?#_abzAZ0123456789 \t\r\n"
 _EXOTIC = "²٣Ⅷ½éΩǅ〇𝟘\xa0\x0b"
 
 
-def test_random_strings_match_the_reference():
+def _random_strings():
     rng = random.Random(1975)
-    errors = 0
     for _ in range(6000):
         n = rng.randrange(24)
-        text = "".join(
+        yield "".join(
             rng.choice(_EXOTIC) if rng.random() < 0.03
             else rng.choice(_ALPHABET) for _ in range(n))
+
+
+def test_random_strings_match_the_reference():
+    errors = 0
+    for text in _random_strings():
         if isinstance(_same(text), tuple):
             errors += 1
     # both outcomes are well represented
     assert 1000 < errors < 5000
 
 
-@pytest.mark.parametrize("text, expected", [
+FIXED = [
     # a comment does not move the end-of-input column ...
     ("p(a) # note", [(IDENT, "p", 1, 1), ("(", "(", 1, 2),
                      (IDENT, "a", 1, 3), (")", ")", 1, 4), (EOF, "", 1, 6)]),
@@ -107,6 +113,43 @@ def test_random_strings_match_the_reference():
                           (EOF, "", 3, 1)]),
     ("a\n b\xa0", (ParseError, "unexpected character '\\xa0'", 2, 3)),
     ("x٣ ٣x", (ParseError, "unexpected character '٣'", 1, 4)),
-])
+]
+
+
+@pytest.mark.parametrize("text, expected", FIXED)
 def test_fixed_cases(text, expected):
     assert _same(text) == expected
+
+
+def _texts_agree(text):
+    """`_texts` gives each token's text, a variable's with its "?", or
+    raises the tokenizer's error."""
+    expected = _outcome(tokenize, text)
+    if not isinstance(expected, tuple):
+        expected = ["?" + word if kind == VAR else word
+                    for kind, word, _, _ in expected]
+    try:
+        got = _texts(text)
+    except ParseError as e:
+        got = type(e), e.message, e.line, e.column
+    assert got == expected, repr(text)
+
+
+def test_token_texts_agree_with_the_tokens():
+    for text in _random_strings():
+        _texts_agree(text)
+    for text, _ in FIXED:
+        _texts_agree(text)
+    for c in _EXOTIC + "$?#\x00\u2028":
+        for context in ("{}", "a{}", "{}a", "?{}", "?a{}", "1{}", "1{}a",
+                        "p(a) {}", "{} p(a)", "# {}\np", "p(a) # {}",
+                        "{}\n", "a\n{}"):
+            _texts_agree(context.format(c))
+    # every identifier character, and every one that cannot start a name
+    _texts_agree("_" + WORD)
+    _texts_agree("?_" + WORD)
+    for c in WORD:
+        if not (c.isalpha() or c == "_"):
+            _texts_agree(c)
+            _texts_agree("?" + c)
+            _texts_agree("a " + c)

@@ -12,7 +12,7 @@ import pytest
 
 import reference
 from chronos import bot, lexer, top
-from chronos.core import Var
+from chronos.core import Const, Literal, Var
 from bot_formulas import gen_bot_formula
 from chronos.equiv import GenParams, check_equivalence, gen_case
 from chronos.lexer import EOF, VAR, ParseError
@@ -239,3 +239,31 @@ def test_leaves_are_shared_within_one_parse():
     assert f.left.args[1] is f.right.body.args[1]
     # and never across parses
     assert top.parse_top("q(?x, c)").args[0] is not f.left.args[0]
+
+
+@pytest.mark.parametrize("lang, text, message, column", [
+    ("top", "Past[var, p(a)]", "expected variable, found 'var'", 6),
+    ("top", "For[cp, int, p(a)]", "expected quantity, found 'int'", 9),
+    ("top", "p(a) eof", "expected end of input, found 'eof'", 6),
+    ("bot", "p(a) eof", "expected end of input, found 'eof'", 6),
+    ("bot", "prec(eof, beg)", "expected point expression, found 'eof'", 6),
+])
+def test_names_spelled_like_token_kinds_are_no_other_kind(lang, text, message,
+                                                          column):
+    parse, reference_parse = PARSERS[lang]
+    assert _same(parse, reference_parse, text) == (ParseError, message, 1, column)
+
+
+@pytest.mark.parametrize("lang, text, expected", [
+    ("top", "var(int, eof)", Literal("var", (Const("int"), Const("eof")))),
+    ("bot", "var(int, eof)", Literal("var", (Const("int"), Const("eof")))),
+    ("top", "At[var, p(a)]", top.At(Const("var"), Literal("p", (Const("a"),)))),
+    ("top", "Part[ident, ?x]", top.Part("ident", Var("x"))),
+    ("bot", "part(ident, ?x)", bot.InPart("ident", Var("x"))),
+    ("bot", "eq(var, ?int)", bot.Eq(Const("var"), Var("int"))),
+    ("top", "For[int, 2, eof(?var)]",
+     top.For("int", 2, Literal("eof", (Var("var"),)))),
+])
+def test_names_spelled_like_token_kinds_are_identifiers(lang, text, expected):
+    parse, reference_parse = PARSERS[lang]
+    assert _same(parse, reference_parse, text) == expected

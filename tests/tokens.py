@@ -1,5 +1,6 @@
-"""Tokens as named tuples, for tests; the parsers read the plain tuples of
-`chronos.lexer._scan`."""
+"""Tokens as named tuples, for tests. The parsers read only the token
+texts of `chronos.lexer._texts`; the plain tuples of `chronos.lexer._scan`
+give an error its line and column, and are looked up only then."""
 from itertools import repeat
 from typing import NamedTuple
 
