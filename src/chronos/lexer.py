@@ -8,13 +8,15 @@ An integer is a run of ASCII digits ``0-9``. The punctuation is
 ``[ ] ( ) , &``. Blanks are space, tab and carriage return, and a comment
 runs from ``#`` to the end of the line.
 
-The parsers read the texts of the tokens, from one ``findall`` per formula
-(`_texts`): a variable keeps its ``?``, and end of input is ``""``. Lines
-and columns come from the tokenizer `_scan`, which is looked up only when
-an error is raised. They are 1-based, a tab being one column, and an error
-is reported at the start of its token. End of input sits after the last
-character, trailing blanks included, but a trailing comment does not move
-it: end of input is then reported at the ``#``.
+One pattern, `_TEXT`, states these rules. The parsers read the texts of
+the tokens, from one ``findall`` per formula (`_texts`): a variable keeps
+its ``?``, and end of input is ``""``. A text that is no token's is a
+lexical error, raised before parsing begins. A line and column are looked
+up (`_starts`) only when an error is raised. They are 1-based, a tab being
+one column, and an error is reported at the start of its token. End of
+input sits after the last character, trailing blanks included, but a
+trailing comment does not move it: end of input is then reported at the
+``#``.
 
 `Parser` holds what both grammars share: the cursor, errors, ``&`` chains
 of any length, groups, literals with one arity per functor, and a cap on
@@ -63,82 +65,51 @@ KINDS = {"": EOF, "?": VAR, **dict.fromkeys("0123456789", INT),
          **{c: c for c in "[](),&"}}
 
 
-# Blanks, then one token. Group numbers are the dispatch keys below, the
-# most frequent first. \w is exactly str.isalnum() or "_", so only a word's
-# first character needs a further check; a word that starts with an ASCII
-# digit is an integer and the rest of the word a new token. The EOF group
-# starts at a trailing comment's "#".
-_SCAN = re.compile(
-    r"[ \t\r]*(?:"
-    r"([\[\](),&])"  # 1 punctuation
-    r"|([^\W0-9]\w*)"  # 2 identifier
-    r"|(\?\w*)"  # 3 variable
-    r"|([0-9]+)"  # 4 integer
-    r"|(\n)"  # 5 newline
-    r"|((?:#[^\n]*)?)\Z"  # 6 end of input
-    r"|#[^\n]*"  # comment
-    r"|(.))"  # 7 any other character
-)
-
-
-def _scan(text: str) -> list:
-    """The tokens of text as (kind, text, line, column) tuples, a variable's
-    text being its name alone; raises the ParseError of the first character
-    that starts no token. Every error takes its line and column from here."""
-    tokens = []
-    append = tokens.append
-    line, base = 1, -1  # base: index of the newline before this line
-    for m in _SCAN.finditer(text):
-        group = m.lastindex
-        if group is None:  # a comment
-            continue
-        word = m[group]
-        col = m.start(group) - base
-        if group == 1:
-            append((word, word, line, col))
-        elif group == 2:
-            if not (word[0].isalpha() or word[0] == "_"):
-                raise ParseError(f"unexpected character {word[0]!r}", line, col)
-            append((IDENT, word, line, col))
-        elif group == 3:
-            if len(word) == 1 or not (word[1].isalpha() or word[1] == "_"):
-                raise ParseError("expected identifier after '?'", line, col)
-            append((VAR, word[1:], line, col))
-        elif group == 4:
-            append((INT, word, line, col))
-        elif group == 5:
-            line += 1
-            base = m.end() - 1
-        elif group == 6:
-            append((EOF, "", line, col))
-            break
-        else:
-            raise ParseError(f"unexpected character {word!r}", line, col)
-    return tokens
-
-
-# Blanks and comments, then the text of one token, split where `_SCAN`
-# splits: a run of ASCII digits ends a word, a variable keeps its "?", and
-# end of input is "". A name starts with \w other than a decimal digit,
-# which in ASCII is a letter or "_". Any other character, or a "?" without
-# a name, takes the rest of the input as its text, the last before the end.
-# Some alternative matches wherever the blanks end, so they never backtrack.
+# Blanks and comments, then the text of one token: a run of ASCII digits
+# ends a word, a variable keeps its "?", and end of input is "". A name
+# starts with \w other than a decimal digit, which in ASCII is a letter or
+# "_"; \w is exactly str.isalnum() or "_". Any other character, or a "?"
+# without a name, takes the rest of the input as its text, the last before
+# the end. Some alternative matches wherever the blanks end, so they never
+# backtrack.
 _TEXT = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
     r"([\[\](),&]|[0-9]+|\??[^\W\d]\w*|(?s:.+)|\Z)")
 
 
 def _texts(text: str) -> list:
-    """The token texts of text, one for each token of `_scan(text)`; raises
-    `_scan`'s ParseError if a text is no token's."""
+    """The token texts of text; raises the ParseError of the first text
+    that is no token's, at its start."""
     texts = _TEXT.findall(text)
     if texts[-2:] == ["", ""]:  # after trailing blanks the end matches twice
         texts.pop()
     # In ASCII only the last text can be no token's; outside it a name may
-    # also start with a numeral such as "²", which only _scan refuses
+    # also start with a numeral such as "²"
     if not text.isascii() or len(texts) > 1 and not _is_token(texts[-2]):
-        _scan(text)  # raises if a text is no token's
+        for i, word in enumerate(texts):
+            if not _is_token(word):
+                message = ("expected identifier after '?'" if word[0] == "?"
+                           else f"unexpected character {word[0]!r}")
+                raise ParseError(message, *_position(text, i))
     return texts
+
+
+def _starts(text: str) -> list:
+    """The offset in text of each token of `_texts(text)`. End of input
+    sits after the last character, or at the "#" of a trailing comment."""
+    starts = [m.start(1) for m in _TEXT.finditer(text)]
+    if starts[-2:] == [len(text)] * 2:  # the end, matched twice
+        starts.pop()
+    comment = text.find("#", text.rfind("\n") + 1)
+    if comment >= 0:  # a "#" on the last line starts a trailing comment
+        starts[-1] = comment
+    return starts
+
+
+def _position(text: str, index: int) -> tuple:
+    """The line and column of the token at index in `_texts(text)`."""
+    offset = _starts(text)[index]
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _is_token(text: str) -> bool:
@@ -163,10 +134,10 @@ class Parser:
     `term`, an argument of a literal. They read the texts of `_texts` and
     test kinds on the texts inline: punctuation is its own text, a variable
     starts with ``?``, and an identifier's first character is no key of
-    `KINDS`. A line and column are looked up only when an error is raised.
-    A nested construct calls `enter` at its opening token and lowers
-    `depth` when it closes. Within one parse, each variable or constant
-    name is one `Var` or `Const` object.
+    `KINDS`. `error` looks a token's line and column up in `_starts` only
+    when it raises. A nested construct calls `enter` at its opening token
+    and lowers `depth` when it closes. Within one parse, each variable or
+    constant name is one `Var` or `Const` object.
     """
 
     reserved = frozenset()  # names that cannot be a functor
@@ -188,8 +159,7 @@ class Parser:
 
     def error(self, message: str, at: int | None = None, cls=ParseError):
         """Raise a cls at the token at index at, by default the current one."""
-        _, _, line, column = _scan(self.text)[self.pos if at is None else at]
-        raise cls(message, line, column)
+        raise cls(message, *_position(self.text, self.pos if at is None else at))
 
     def expect(self, kind: str, what: str | None = None) -> str:
         """The current token's text, after which the cursor moves on; an

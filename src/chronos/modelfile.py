@@ -22,6 +22,7 @@ speech time lies on the timeline.  No number in a file exceeds MAX_TIMELINE.
 """
 from __future__ import annotations
 
+import io
 import re
 
 from .core import (
@@ -274,7 +275,8 @@ class _Compiler:
 def parse_model(text: str) -> CompiledModel:
     """Compile model-file text; raises ModelFileError/ModelValidationError."""
     compiler = _Compiler()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # lines end where open() ends them: at "\n", "\r\n" or "\r" only
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -30,7 +30,7 @@ from chronos.core import (
     subper,
 )
 from chronos.lexer import ArityError, ParseError
-from tokens import Token, tokenize as package_tokenize
+from tokens import Token
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -109,7 +109,7 @@ def _is_ident_char(ch: str) -> bool:
 
 class TokenStream:
     def __init__(self, text: str):
-        self.tokens = package_tokenize(text)
+        self.tokens = [Token(*tok) for tok in tokenize(text)]
         self.pos = 0
 
     def peek(self) -> Token:

@@ -31,6 +31,17 @@ def test_parse_rejects_bad_grammar(capsys):
     assert "line 1" in err
 
 
+def test_end_of_input_is_reported_before_a_trailing_comment(capsys):
+    """README "Syntax": trailing blanks move end of input, a trailing
+    comment does not."""
+    cases = {"p(a  ": (1, 6), "p(a # note": (1, 5), "p(a\n  # c": (2, 3)}
+    for text, (line, column) in cases.items():
+        assert main(["parse", "top", text]) == 1
+        message = "expected ), found 'end of input'"
+        assert capsys.readouterr() == (
+            "", f"error: line {line}, column {column}: {message}\n")
+
+
 def test_translate_output_reparses(capsys):
     assert main(["translate", "Past[?e, empty(tank5)]"]) == 0
     out = capsys.readouterr().out.strip()

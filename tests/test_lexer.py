@@ -1,9 +1,11 @@
-"""The compiled-pattern tokenizer against the character-loop reference,
-and the token texts the parsers read against the tokenizer.
+"""The package tokenizer against the character-loop reference.
 
-Both tokenizers must give the same (kind, text, line, column) tuples for a
-text, or raise a ParseError with the same message, line and column. The
-texts must be the tokens' texts one for one, or the same ParseError.
+The package states its lexical rules once, in the pattern `lexer._TEXT`.
+`tokens.tokenize` joins the texts the parsers read (`lexer._texts`) with
+the offsets errors are reported at (`lexer._starts`). It must give the
+reference's (kind, text, line, column) tuples for a text, or raise a
+ParseError with the same message, line and column. The texts alone must
+be the reference tokens' texts one for one, or the same ParseError.
 """
 import random
 import re
@@ -122,9 +124,9 @@ def test_fixed_cases(text, expected):
 
 
 def _texts_agree(text):
-    """`_texts` gives each token's text, a variable's with its "?", or
-    raises the tokenizer's error."""
-    expected = _outcome(tokenize, text)
+    """`_texts` gives each reference token's text, a variable's with its
+    "?", or raises the reference's error."""
+    expected = _outcome(reference.tokenize, text)
     if not isinstance(expected, tuple):
         expected = ["?" + word if kind == VAR else word
                     for kind, word, _, _ in expected]

@@ -9,6 +9,7 @@ from chronos.modelfile import (
     ModelFileError,
     ModelValidationError,
     format_model,
+    load_model,
     parse_model,
 )
 
@@ -151,6 +152,25 @@ def test_comments_and_blanks_ignored():
         "object a\npred q/1\nmaximal q(a) = [0,1]\n"
     )
     assert cm.model.timeline.size == 4
+
+
+@pytest.mark.parametrize("end", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_lines_end_only_at_universal_newlines(tmp_path, end):
+    """Other line breaks stay inside a line, so a comment holding one runs
+    on to the next newline, and text and file agree on line numbers."""
+    text = (f"timeline 10 # ten points{end}long\r\nspeech 2\robject a # note"
+            f"{end}more\npred q/1\nbogus")
+    path = tmp_path / "ends.tmodel"
+    path.write_bytes(text.encode("utf-8"))
+    for load in (lambda: parse_model(text), lambda: load_model(path)):
+        with pytest.raises(ModelFileError) as err:
+            load()
+        assert (err.value.line, err.value.message) == (
+            5, "unknown directive 'bogus'")
+    cm = parse_model(text.replace("bogus", "maximal q(a) = [1,2]"))
+    assert cm.model.timeline.size == 10
+    assert cm.speech == 2
 
 
 def _lexer_accepts(name):
