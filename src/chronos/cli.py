@@ -42,7 +42,7 @@ def _cmd_translate(args) -> int:
     result = translate(source)
     print(bot.print_bot(result))
     if args.check_alpha is not None:
-        with open(args.check_alpha, encoding="utf-8") as fh:
+        with open(args.check_alpha, encoding="utf-8-sig") as fh:
             expected = bot.parse_bot(fh.read())
         fixed = frozenset(top.free_vars(source))
         if not alpha_equivalent(result, expected, fixed):
@@ -80,15 +80,8 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def run_campaign(params, cases, *, mutation=None):
-    """`equiv.run_campaign`, imported on the first call."""
-    from .equiv import run_campaign
-
-    return run_campaign(params, cases, mutation=mutation)
-
-
 def _cmd_check(args) -> int:
-    from .equiv import GenParams
+    from .equiv import GenParams, run_campaign
 
     params = GenParams(**{name: getattr(args, name) for name in fields(GenParams)})
     report = run_campaign(params, args.cases, mutation=args.mutate)

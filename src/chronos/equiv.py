@@ -159,19 +159,19 @@ def gen_model(params: GenParams, rng=None) -> TopModel:
 
 
 _OP_WEIGHTS = [
-    ("past", 20),
-    ("at", 15),
-    ("literal", 14),
-    ("and", 8),
-    ("pres", 7),
-    ("perf", 6),
-    ("culm", 6),
-    ("fills", 5),
-    ("before", 5),
-    ("after", 5),
-    ("ntense", 5),
-    ("for", 4),
-    ("part", 3),
+    (top.Past, 20),
+    (top.At, 15),
+    (top.Literal, 14),
+    (top.And, 8),
+    (top.Pres, 7),
+    (top.Perf, 6),
+    (top.Culm, 6),
+    (top.Fills, 5),
+    (top.Before, 5),
+    (top.After, 5),
+    (top.Ntense, 5),
+    (top.For, 4),
+    (top.Part, 3),
 ]
 # what `choices` rebuilds from weights on every draw, built once
 _OPS = [op for op, _ in _OP_WEIGHTS]
@@ -208,39 +208,29 @@ def gen_formula(params: GenParams, model: TopModel, rng=None):
             return var()
         return Const(rng.choice(period_consts))
 
+    # a draw for each kind of operator argument but a formula (see top.SHAPES)
+    draws = {
+        "L": literal,
+        "V": var,
+        "T": anchor,
+        "W": lambda: None if rng.random() < 0.4 else var(),
+        "Q": lambda: rng.randrange(1, 3),
+        "N": lambda: rng.choice(part_names),
+        "C": lambda: rng.choice(cpart_names),
+    }
+
     def build(depth):
         if depth <= 1:
-            if rng.random() < 0.15:
-                return top.Part(rng.choice(part_names), var())
+            op = top.Part if rng.random() < 0.15 else top.Literal
+        else:
+            op = rng.choices(_OPS, cum_weights=_CUM_WEIGHTS)[0]
+        if op is top.Literal:
             return literal()
-        op = rng.choices(_OPS, cum_weights=_CUM_WEIGHTS)[0]
-        if op == "literal":
-            return literal()
-        if op == "part":
-            return top.Part(rng.choice(part_names), var())
-        if op == "and":
+        if op is top.And:
             return top.And(build(depth - 1), build(depth - 1))
-        if op == "past":
-            return top.Past(var(), build(depth - 1))
-        if op == "perf":
-            return top.Perf(var(), build(depth - 1))
-        if op == "pres":
-            return top.Pres(build(depth - 1))
-        if op == "culm":
-            return top.Culm(literal())
-        if op == "at":
-            return top.At(anchor(), build(depth - 1))
-        if op == "before":
-            return top.Before(anchor(), build(depth - 1))
-        if op == "after":
-            return top.After(anchor(), build(depth - 1))
-        if op == "fills":
-            return top.Fills(build(depth - 1))
-        if op == "ntense":
-            if rng.random() < 0.4:
-                return top.Ntense(None, build(depth - 1))
-            return top.Ntense(var(), build(depth - 1))
-        return top.For(rng.choice(cpart_names), rng.randrange(1, 3), build(depth - 1))
+        # in shape order: the order of the draws fixes every generated case
+        return op(*[build(depth - 1) if kind == "F" else draws[kind]()
+                    for kind in top.SHAPES[op]])
 
     f = build(rng.randrange(1, params.max_depth + 1))
     del build  # build calls itself through this cell, a cycle holding rng

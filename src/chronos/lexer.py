@@ -202,17 +202,13 @@ class Parser:
         functor = self.expect(IDENT, "predicate functor")
         if functor in self.reserved:
             self.error(f"{functor!r} is reserved and cannot be a functor", at)
+        self.expect("(")
         tokens = self.tokens
-        if tokens[self.pos] != "(":
-            self.expect("(")
-        self.pos += 1
         args = [self.term()]
         while tokens[self.pos] == ",":
             self.pos += 1
             args.append(self.term())
-        if tokens[self.pos] != ")":
-            self.expect(")")
-        self.pos += 1
+        self.expect(")")
         n = len(args)
         seen = self.arities.setdefault(functor, n)
         if seen != n:

@@ -285,7 +285,7 @@ def parse_model(text: str) -> CompiledModel:
 
 
 def load_model(path) -> CompiledModel:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_model(fh.read())
 
 

@@ -9,7 +9,7 @@ which are free by construction; there is no binding operator.
 """
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import lexer
 from .core import (
@@ -112,9 +112,26 @@ class EvalIndex(Record):
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-#: each operator is written as its class's name
-_OPERATORS = {op.__name__: op for op in (
-    Pres, Past, Perf, Culm, At, Before, After, Fills, Ntense, For, Part)}
+#: the bracketed arguments of each operator, in order, one letter each by
+#: kind: F formula, L literal, V variable, T constant or variable, W
+#: ``now`` or a variable, Q quantity, N partitioning and C complete
+#: partitioning. An operator's fields are its arguments in this order, and
+#: it is written as its class's name. The parser, the printer and the case
+#: generator (`equiv.gen_formula`) read each argument by its kind.
+SHAPES = {
+    Pres: "F",
+    Past: "VF",
+    Perf: "VF",
+    Culm: "L",
+    At: "TF",
+    Before: "TF",
+    After: "TF",
+    Fills: "F",
+    Ntense: "WF",
+    For: "CQF",
+    Part: "NV",
+}
+_OPERATORS = {op.__name__: op for op in SHAPES}
 _RESERVED = _OPERATORS.keys() | {"now"}
 
 
@@ -134,47 +151,14 @@ class _TopParser(lexer.Parser):
         if self.tokens[self.pos] != "[":
             self.error(f"{name!r} is an operator and needs [...]", at)
         self.pos += 1
-        if op is Pres or op is Fills:
-            f = op(self.formula())
-        elif op is Past or op is Perf:
-            v = self.variable()
-            self.expect(",")
-            f = op(v, self.formula())
-        elif op is At or op is Before or op is After:
-            term = self.term()
-            self.expect(",")
-            f = op(term, self.formula())
-        elif op is Culm:
-            f = Culm(self.literal())
-        elif op is Ntense:
-            if self.tokens[self.pos] == "now":
-                self.pos += 1
-                v = None
-            else:
-                v = self.variable()
-            self.expect(",")
-            f = Ntense(v, self.formula())
-        elif op is For:
-            part = self.expect(lexer.IDENT, "partitioning name")
-            self.expect(",")
-            qty = self.pos
-            digits = self.expect(lexer.INT, "quantity").lstrip("0")
-            if not digits:
-                self.error("quantity must be at least 1", qty)
-            # lengths first, as int() refuses more than 4,300 digits
-            if (len(digits) > len(str(lexer.MAX_QUANTITY))
-                    or int(digits) > lexer.MAX_QUANTITY):
-                self.error(f"quantity must be at most {lexer.MAX_QUANTITY}",
-                           qty)
-            self.expect(",")
-            f = For(part, int(digits), self.formula())
-        else:  # Part
-            part = self.expect(lexer.IDENT, "partitioning name")
-            self.expect(",")
-            f = Part(part, self.variable())
+        args = []
+        for kind in SHAPES[op]:
+            if args:
+                self.expect(",")
+            args.append(_READERS[kind](self))
         self.expect("]")
         self.depth -= 1
-        return f
+        return op(*args)
 
     def term(self):
         name = self.tokens[self.pos]
@@ -192,10 +176,48 @@ class _TopParser(lexer.Parser):
     def variable(self):
         return self.vars[self.expect(lexer.VAR, "variable")]
 
+    def now_or_variable(self):
+        if self.tokens[self.pos] == "now":
+            self.pos += 1
+            return None
+        return self.variable()
+
+    def quantity(self):
+        at = self.pos
+        digits = self.expect(lexer.INT, "quantity").lstrip("0")
+        if not digits:
+            self.error("quantity must be at least 1", at)
+        # lengths first, as int() refuses more than 4,300 digits
+        if (len(digits) > len(str(lexer.MAX_QUANTITY))
+                or int(digits) > lexer.MAX_QUANTITY):
+            self.error(f"quantity must be at most {lexer.MAX_QUANTITY}", at)
+        return int(digits)
+
+    def partitioning(self):
+        return self.expect(lexer.IDENT, "partitioning name")
+
+
+#: the parser's reader of each kind of argument
+_READERS = {
+    "F": _TopParser.formula,
+    "L": _TopParser.literal,
+    "V": _TopParser.variable,
+    "T": _TopParser.term,
+    "W": _TopParser.now_or_variable,
+    "Q": _TopParser.quantity,
+    "N": _TopParser.partitioning,
+    "C": _TopParser.partitioning,
+}
+
 
 def parse_top(text: str):
     """Parse concrete TOP syntax into an AST; raises ParseError/ArityError."""
     return _TopParser(text).parse()
+
+
+#: each operator's arguments as (kind, field getter) pairs, for the printer
+_ARGUMENTS = {op: tuple(zip(shape, map(attrgetter, op._fields)))
+              for op, shape in SHAPES.items()}
 
 
 def print_top(f) -> str:
@@ -205,24 +227,20 @@ def print_top(f) -> str:
         return f"{f.functor}({', '.join(str(a) for a in f.args)})"
     if t is And:
         return print_chain(f, print_top)
-    if t is Part:
-        return f"Part[{f.part}, {f.var}]"
-    if t is Pres or t is Fills or t is Culm:
-        head = ""
-    elif t is Past or t is Perf:
-        head = f"{f.var}, "
-    elif t is At or t is Before or t is After:
-        head = f"{f.term}, "
-    elif t is Ntense:
-        head = "now, " if f.var is None else f"{f.var}, "
-    elif t is For:
-        head = f"{f.cpart}, {f.qty}, "
-    else:
+    arguments = _ARGUMENTS.get(t)
+    if arguments is None:
         raise TypeError(f"not a TOP formula: {f!r}")
-    # a chain body is printed here, so that it costs no frame of its own
-    body = f.body
-    body = print_chain(body, print_top) if type(body) is And else print_top(body)
-    return f"{t.__name__}[{head}{body}]"
+    args = []
+    for kind, get in arguments:
+        value = get(f)
+        if kind == "F" or kind == "L":
+            # a chain is printed here, so that it costs no frame of its own
+            value = (print_chain(value, print_top) if type(value) is And
+                     else print_top(value))
+        elif value is None:  # W: the now-anchored form
+            value = "now"
+        args.append(str(value))
+    return f"{t.__name__}[{', '.join(args)}]"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from chronos import cli
+from chronos import equiv
 from chronos.cli import _build_parser, main
 from chronos.core import fields
 from chronos.equiv import CampaignReport, GenParams
@@ -71,6 +71,15 @@ def test_translate_check_alpha_mismatch(tmp_path, capsys):
     ])
     assert code == 2
     assert "does not match" in capsys.readouterr().err
+
+
+def test_check_alpha_file_may_start_with_a_byte_order_mark(tmp_path):
+    expected = tmp_path / "bom.bot"
+    expected.write_bytes(b"\xef\xbb\xbf" + (DATA / "trans50.bot").read_bytes())
+    assert main([
+        "translate", "At[d_jan, Past[?e, empty(tank5)]]",
+        "--check-alpha", str(expected),
+    ]) == 0
 
 
 def test_eval_true_false_and_trace(capsys):
@@ -190,7 +199,7 @@ def test_check_flags_follow_gen_params(monkeypatch):
         built.append(params)
         return CampaignReport(params, cases, mutation, ())
 
-    monkeypatch.setattr(cli, "run_campaign", campaign)
+    monkeypatch.setattr(equiv, "run_campaign", campaign)
     assert main(["check", "--cases", "0"]) == 0
     assert built == [GenParams()]
     for name in fields(GenParams):

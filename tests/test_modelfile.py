@@ -173,6 +173,13 @@ def test_lines_end_only_at_universal_newlines(tmp_path, end):
     assert cm.speech == 2
 
 
+def test_model_file_may_start_with_a_byte_order_mark(tmp_path, m0):
+    path = tmp_path / "bom.tmodel"
+    path.write_bytes(b"\xef\xbb\xbf" + format_model(m0.model, m0.speech).encode())
+    cm = load_model(path)
+    assert (cm.model, cm.speech) == (m0.model, m0.speech)
+
+
 def _lexer_accepts(name):
     """True iff name is exactly one identifier token."""
     try:

@@ -1,4 +1,6 @@
 """TOP concrete syntax: parsing, printing, round trips, variable collection."""
+import itertools
+
 import pytest
 
 from chronos import top
@@ -97,6 +99,38 @@ def test_print_examples():
 def test_round_trip(text):
     f = parse_top(text)
     assert parse_top(print_top(f)) == f
+
+
+#: one argument per kind of `top.SHAPES`, but two for `now` or a variable
+#: and for a quantity; a formula argument takes every smaller formula
+_VOCABULARY = {
+    "L": [top.Literal("q", (Const("a"),))],
+    "V": [Var("v")],
+    "T": [Const("k")],
+    "W": [None, Var("w")],
+    "Q": [1, 2],
+    "N": ["gp"],
+    "C": ["cp"],
+}
+
+
+def _formulas(depth):
+    """Every formula of at most depth operators around the one literal."""
+    if depth == 0:
+        return list(_VOCABULARY["L"])
+    smaller = _formulas(depth - 1)
+    out = list(_VOCABULARY["L"])
+    for op, shape in top.SHAPES.items():
+        choices = [smaller if kind == "F" else _VOCABULARY[kind] for kind in shape]
+        out += [op(*args) for args in itertools.product(*choices)]
+    return out
+
+
+def test_every_formula_of_depth_two_round_trips():
+    formulas = _formulas(2)
+    assert len(formulas) == 157
+    for f in formulas:
+        assert parse_top(print_top(f)) == f, f
 
 
 def test_free_vars_examples():
