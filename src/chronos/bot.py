@@ -10,6 +10,8 @@ collapses to false at every atom.
 """
 from __future__ import annotations
 
+from functools import partial
+
 from . import lexer
 from .core import (
     EMPTY,
@@ -333,6 +335,15 @@ def _as_period(v):
     return v if type(v) is Period else UNDEFINED
 
 
+def _span(lo_shift, hi_shift, a, b):
+    """The period from point a to point b, an open end moved in by one."""
+    if a is UNDEFINED or b is UNDEFINED:
+        return UNDEFINED
+    a += lo_shift
+    b -= hi_shift
+    return Period(a, b) if a <= b else EMPTY
+
+
 def _prec(x, y):
     return x is not UNDEFINED and y is not UNDEFINED and x < y
 
@@ -375,14 +386,15 @@ class _Compiler(Compiler):
         self.succ = lambda v: UNDEFINED if v is UNDEFINED or v >= last else v + 1
 
     def conjunct(self, f):
-        """(test g -> bool, the conjunct's variables in first-occurrence order)."""
+        """(test g -> bool, the names it reads in reading order, repeats
+        included), a pair `CandidatePlan.search` takes."""
         test = self.atom(f)
-        return _closure(test), list(dict.fromkeys(test[1]))
+        return _closure(test), test[1]
 
     def term(self, t):
         tt = type(t)
         if tt is Var or tt is Const:
-            return super().term(t)
+            return Compiler.term(self, t)  # super() would build a proxy per name
         if tt is Beg or tt is Now or tt is End:
             return (0 if tt is Beg else self.st if tt is Now else self.last), ()
         if tt is Earliest or tt is Latest:
@@ -391,16 +403,7 @@ class _Compiler(Compiler):
         if tt is Succ:
             return _lift(self.succ, self.term(_point(t.point)))
         if tt is Interval:
-            lo_shift = 0 if t.lo_closed else 1
-            hi_shift = 0 if t.hi_closed else 1
-
-            def span(a, b):
-                if a is UNDEFINED or b is UNDEFINED:
-                    return UNDEFINED
-                a += lo_shift
-                b -= hi_shift
-                return Period(a, b) if a <= b else EMPTY
-
+            span = partial(_span, 0 if t.lo_closed else 1, 0 if t.hi_closed else 1)
             return _lift(span, self.term(_point(t.lo)), self.term(_point(t.hi)))
         if tt is Intersect:
             return _lift(intersect, self.term(_period(t.left)),

@@ -440,7 +440,11 @@ class DomainIndex:
 
     def subperiods(self, windows) -> int:
         """The mask of the subperiods of the periods among windows: one
-        period_mask per run of first points that share their last one."""
+        period_mask per run of first points that share their last one, so
+        a list of one window takes its one period_mask directly."""
+        if type(windows) is list and len(windows) == 1:
+            w = windows[0]
+            return self.period_mask(w.lo, w.hi, w.lo, w.hi) if type(w) is Period else 0
         mask, start, end = 0, 0, -1  # the subperiods of [start, end] are to add
         for w in sorted(w for w in windows if type(w) is Period):
             if w.hi > end:
@@ -821,20 +825,22 @@ class Compiler:
         blocks = frozenset(part.blocks)
         return (lambda v: type(v) is Period and v in blocks), self.term(t)
 
-    def _semijoin(self, tuples, args, operands) -> list:
+    def _semijoin(self, tuples, args, operands):
         """The rows of tuples that agree with a literal's folded operands
         and with each repeated variable of its args.  Each variable takes,
         at its first position, only the values there: the one join of a
         literal, made before the search."""
-        known = [(k, x) for k, (x, names) in enumerate(operands) if not names]
-        repeats = [(k, args.index(a)) for k, a in enumerate(args)
-                   if type(a) is Var and args.index(a) != k]
-        rows = [t for t in tuples
-                if all(t[k] == v for k, v in known)
-                and all(t[k] == t[j] for k, j in repeats)]
-        for j, a in enumerate(args):
-            if type(a) is Var and args.index(a) == j:
-                self.plan.restrict(a.name, self.plan.index.mask(t[j] for t in rows))
+        rows, first = tuples, {}  # first: each variable's first position
+        for k, (a, (x, names)) in enumerate(zip(args, operands)):
+            if not names:
+                rows = [t for t in rows if t[k] == x]
+            elif type(a) is Var:
+                j = first.setdefault(a.name, k)
+                if j != k:
+                    rows = [t for t in rows if t[k] == t[j]]
+        mask = self.plan.index.mask
+        for name, j in first.items():
+            self.plan.restrict(name, mask([t[j] for t in rows]))
         return rows
 
 

@@ -78,6 +78,29 @@ class Verdict(Record):
 # Generators
 
 
+class _Draws(random.Random):
+    """random.Random whose randrange(a, b) reads getrandbits as CPython
+    3.10-3.13's `_randbelow_with_getrandbits` does, in one frame with no
+    argument coercion, and whose choice(seq) draws through it: the same
+    stream, cheaper.  Both refuse empty input, as random.Random does,
+    before a loop that getrandbits(0), always 0, would never end."""
+
+    def randrange(self, start, stop):
+        n = stop - start
+        if n <= 0:
+            raise ValueError(f"empty range for randrange({start}, {stop})")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return start + r
+
+    def choice(self, seq):
+        if not seq:
+            raise IndexError("Cannot choose from an empty sequence")
+        return seq[self.randrange(0, len(seq))]
+
+
 def _random_maximal_periods(rng, size, cap):
     """1..cap periods, left to right, separated by gaps of at least one point."""
     periods = []
@@ -106,7 +129,7 @@ def gen_model(params: GenParams, rng=None) -> TopModel:
     """A valid random model with at least one complete and one gappy
     partitioning and a non-empty extension for every predicate."""
     if rng is None:
-        rng = random.Random(params.seed)
+        rng = _Draws(params.seed)
     size = rng.randrange(min(3, params.timeline_size), params.timeline_size + 1)
     timeline = Timeline(size)
 
@@ -182,7 +205,7 @@ def gen_formula(params: GenParams, model: TopModel, rng=None):
     """A random grammar-valid formula over the model's vocabulary, biased
     toward Past/At/literals so satisfiable cases stay frequent."""
     if rng is None:
-        rng = random.Random(params.seed)
+        rng = _Draws(params.seed)
     pool = [f"x{i}" for i in range(rng.randrange(1, params.max_free_vars + 1))]
     preds = sorted(model.preds)
     atom_consts = sorted(n for n, v in model.consts.items() if isinstance(v, str))
@@ -464,8 +487,10 @@ def _pick_st(rng, size):
 
 
 def gen_case(params: GenParams, index: int):
-    """Deterministic (model, st, formula) triple for one campaign case."""
-    rng = random.Random(f"{params.seed}/case/{index}")
+    """Deterministic (model, st, formula) triple for one campaign case.
+    Its randrange and choice draws rest on getrandbits alone (`_Draws`);
+    the tests' GENERATOR_DIGESTS pin the cases on every Python CI runs."""
+    rng = _Draws(f"{params.seed}/case/{index}")
     m = gen_model(params, rng)
     st = _pick_st(rng, m.timeline.size)
     f = gen_formula(params, m, rng)

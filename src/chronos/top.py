@@ -348,7 +348,7 @@ class _Compiler(Compiler):
         else:
             periods = {r: ext[r] for r in rows}
             self._event_times(lambda index: index.subperiods(
-                p for ps in periods.values() for p in ps))
+                [p for ps in periods.values() for p in ps]))
 
             def holds(args, et):
                 for p in periods.get(args, ()):

@@ -145,6 +145,20 @@ def test_subperiods_of_windows_match_enumeration():
     assert index.subperiods([]) == 0
 
 
+def test_subperiods_of_one_window_match_enumeration():
+    """A list of one window, the form a folded window and a one-row literal
+    give, and a generator of one: every subperiod of a period, nothing for
+    anything else."""
+    for size in range(1, 9):
+        index = ObjectDomain(Timeline(size), ("x",)).index
+        periods = Timeline(size).periods()
+        for w in periods + [EMPTY, UNDEFINED, "x"]:
+            expected = index.mask(
+                p for p in periods if type(w) is Period and subper(p, w))
+            assert index.subperiods([w]) == expected, (size, w)
+            assert index.subperiods(v for v in [w]) == expected, (size, w)
+
+
 def test_search_stops_at_an_empty_level():
     """A name with no static candidate ends the search before any check."""
     plan = CandidatePlan(ObjectDomain(Timeline(3), ("a", "b")).index)

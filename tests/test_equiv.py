@@ -255,6 +255,33 @@ def test_generator_draws_every_operator():
     assert set(top.SHAPES) | {top.Literal, top.And} <= seen
 
 
+def test_generator_draws_match_random_draw_for_draw():
+    """The generator's randrange and choice give random.Random's values and
+    leave its stream where random.Random's leave it, over widths 1-70,
+    every power of two up to 64 among them."""
+    for seed in (0, 42, "42/case/7", "4/case/0"):
+        ours, theirs = equiv._Draws(seed), random.Random(seed)
+        for width in range(1, 71):
+            for start in (0, 5):
+                assert (ours.randrange(start, start + width)
+                        == theirs.randrange(start, start + width)), (seed, width)
+            seq = [f"x{i}" for i in range(width)]
+            assert ours.choice(seq) == theirs.choice(seq), (seed, width)
+            assert ours.random() == theirs.random(), (seed, width)
+
+
+def test_generator_draws_refuse_empty_input():
+    """getrandbits(0) is always 0, so an empty range or sequence must be
+    refused before the draw loop, which would never end."""
+    rng = equiv._Draws(0)
+    for start, stop in ((3, 3), (3, 2), (0, 0)):
+        with pytest.raises(ValueError, match="empty range"):
+            rng.randrange(start, stop)
+    for seq in ([], (), ""):
+        with pytest.raises(IndexError):
+            rng.choice(seq)
+
+
 def test_gen_case_leaves_no_cyclic_garbage():
     # a cycle would hold the case's random.Random until the collector runs
     params = GenParams(seed=42)

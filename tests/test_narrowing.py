@@ -8,7 +8,8 @@ import pytest
 
 import reference
 from chronos import bot, top
-from chronos.core import Period, derive_bot_model, subper
+from chronos.core import Compiler, Period, Var, derive_bot_model, subper
+from chronos.equiv import GenParams, check_equivalence, gen_case
 from chronos.modelfile import parse_model
 
 P = Period
@@ -146,3 +147,87 @@ def test_repeated_variable_narrows_the_literal_before_the_search():
                   top._EVENT_TIME)
     assert seen == _subperiods(m, P(5, 6))
     assert _bot_tried(derive_bot_model(m), 7, "q(?x, ?x, ?p)", "p") == [P(5, 6)]
+
+
+def _naive_semijoin(tuples, args, operands, index):
+    """A literal's join by its definition: the tuples equal to each folded
+    operand at its position and equal at any two positions of one variable,
+    and for each variable the mask of the values it has in them."""
+    rows = [t for t in tuples
+            if all(t[k] == x for k, (x, names) in enumerate(operands) if not names)
+            and all(t[k] == t[j] for k, a in enumerate(args)
+                    for j, b in enumerate(args) if type(a) is Var and a == b)]
+    masks = {a.name: index.mask(t[k] for t in rows)
+             for k, a in enumerate(args) if type(a) is Var}
+    return rows, masks
+
+
+@pytest.fixture
+def joins(monkeypatch):
+    """Each join compiled while in use, made again on a fresh plan: its
+    input (tuples, args, operands) and what it left, (rows, masks)."""
+    made = []
+    join = Compiler._semijoin
+
+    def recording(self, tuples, args, operands):
+        fresh = Compiler(self.m, self.st)
+        rows = join(fresh, tuples, args, operands)
+        made.append(((tuples, args, operands), (list(rows), fresh.plan._static)))
+        return join(self, tuples, args, operands)
+
+    monkeypatch.setattr(Compiler, "_semijoin", recording)
+    return made
+
+
+def _check_joins(made, index):
+    for (tuples, args, operands), got in made:
+        assert got == _naive_semijoin(tuples, args, operands, index), args
+
+
+def test_literal_joins_of_the_campaign_match_the_definition(joins):
+    """Every literal either compiler joins over 300 cases of case seeds 42
+    and 4, the held-out one: TOP's joins take a list of tuples, BOT's a
+    frozenset, and some have a folded argument, some a repeated variable."""
+    kinds = set()
+    for seed in (42, 4):
+        for i in range(300):
+            m, st, f = gen_case(GenParams(seed=seed), i)
+            check_equivalence(m, st, f)
+            _check_joins(joins, m.domain.index)
+            for (tuples, args, operands), _ in joins:
+                kinds.add(type(tuples))
+                kinds.update("folded" for _, names in operands if not names)
+                kinds.update("repeat" for a in args
+                             if type(a) is Var and args.count(a) > 1)
+            joins.clear()
+    assert kinds == {list, frozenset, "folded", "repeat"}
+
+
+def test_literal_joins_of_repeats_and_compound_arguments(joins):
+    """A repeated variable keeps the rows equal at its positions; a folded
+    compound argument keeps the rows holding its value; a compound argument
+    that reads a variable keeps every row and restricts that variable in
+    no way."""
+    m = parse_model("timeline 10\nspeech 7\nobject a\nobject b\npred q/2\n"
+                    "maximal q(a, b) = [0,3]\nmaximal q(a, a) = [5,6]\n").model
+    b = derive_bot_model(m)
+    index = m.domain.index
+    top._Compiler(m, 7, top._EVENT_TIME, m.timeline.full()).formula(
+        top.parse_top("q(?x, ?x)"))
+    ((_, got),) = joins
+    assert got == ([("a", "a")], {"x": index.mask(["a"])})
+    wants = {
+        "q(?x, ?x, ?p)": ([("a", "a", P(5, 6))],
+                          {"x": index.mask(["a"]), "p": index.mask([P(5, 6)])}),
+        "q(?x, ?y, [beg, succ(succ(succ(beg)))])": (
+            [("a", "b", P(0, 3))], {"x": index.mask(["a"]), "y": index.mask(["b"])}),
+        "q(?x, ?y, [earliest(?p), latest(?p)])": (
+            None, {"x": index.mask(["a"]), "y": index.mask(["a", "b"])}),
+    }
+    for text, (rows, masks) in wants.items():
+        joins.clear()
+        bot._Compiler(b, 7).conjunct(bot.parse_bot(text))
+        ((_, (got_rows, got_masks)),) = joins
+        assert sorted(got_rows) == sorted(rows or b.true_tuples("q", 3)), text
+        assert got_masks == masks, text
+        _check_joins(joins, index)
