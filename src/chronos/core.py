@@ -488,18 +488,20 @@ class ObjectDomain(Record):
 
     @cached_property
     def index(self) -> DomainIndex:
-        """Built on first use and shared by every model over this domain,
-        so a TOP model and the BOT model derived from it list it once."""
-        return DomainIndex(self.atoms, self.timeline)
+        """The one index of every domain with these atoms and this
+        timeline size (a bounded cache), looked up on first use: models
+        of different cases share it, as do a TOP model and the BOT model
+        derived from it."""
+        return _index(self.atoms, self.timeline.size)
 
     def objects(self) -> Iterator[Object]:
         """Deterministic enumeration: atoms in declaration order, then periods."""
         return iter(self.index.objects)
 
-    def __contains__(self, o) -> bool:
-        if isinstance(o, Period):
-            return o.hi <= self.timeline.t_last
-        return o in self.atoms
+
+@lru_cache(maxsize=64)
+def _index(atoms: tuple, size: int) -> DomainIndex:
+    return DomainIndex(atoms, Timeline(size))
 
 
 class _Model:
@@ -897,80 +899,76 @@ def derive_bot_model(
       * (span(pi), n+1): true on (args..., p) iff the situation holds
         somewhere and p runs from its first start to its last stop.
 
-    Given names, a set of BOT functors, only the predicates pi with pi,
-    culm(pi) or span(pi) among them are derived, which is all a formula
-    over those functors reads.  Collisions are checked over every pi.
+    Given names, a set of BOT functors, only the relations among them are
+    derived, which is all a formula over those functors reads.  Collisions
+    are checked over every pi.  The BOT model holds the TOP model's
+    constants and partitionings themselves: models are immutable.
     """
     functors = {}
-    for f, n in list(m.preds) + list(m.culms):
+    for f, n in [*m.preds, *m.culms]:
         functors.setdefault(f, n)
-    existing = set(functors)
     for f in functors:
         for image in (eta.culm_functor(f), eta.span_functor(f)):
-            if image in existing:
+            if image in functors:
                 raise FunctorCollision(
                     f"derived functor {image!r} already used by the model"
                 )
 
     bot_preds = {}
     for f, n in functors.items():
-        if names is not None and not names.intersection(
-                (f, eta.culm_functor(f), eta.span_functor(f))):
-            continue
+        span, culm = eta.span_functor(f), eta.culm_functor(f)
         ext = m.preds.get((f, n), {})
-        flags = m.culms.get((f, n), {})
-        base = set()
-        span = set()
-        for args, ps in ext.items():
-            for p in ps:
-                base.add(args + (p,))
-            if ps:
-                hull = Period(min(p.lo for p in ps), max(p.hi for p in ps))
-                span.add(args + (hull,))
-        culm = {args for args, v in flags.items() if v}
-        bot_preds[(f, n + 1)] = frozenset(base)
-        bot_preds[(eta.span_functor(f), n + 1)] = frozenset(span)
-        bot_preds[(eta.culm_functor(f), n)] = frozenset(culm)
+        if names is None or f in names:
+            bot_preds[(f, n + 1)] = frozenset(
+                args + (p,) for args, ps in ext.items() for p in ps)
+        if names is None or span in names:
+            bot_preds[(span, n + 1)] = frozenset(
+                args + (Period(min(p.lo for p in ps), max(p.hi for p in ps)),)
+                for args, ps in ext.items() if ps)
+        if names is None or culm in names:
+            flags = m.culms.get((f, n), {})
+            bot_preds[(culm, n)] = frozenset(args for args, v in flags.items() if v)
 
     return BotModel(
         timeline=m.timeline,
         domain=m.domain,
-        consts=dict(m.consts),
+        consts=m.consts,
         bot_preds=bot_preds,
-        cparts=dict(m.cparts),
-        gparts=dict(m.gparts),
+        cparts=m.cparts,
+        gparts=m.gparts,
     )
 
 
-def _check_partitioning(name, part, timeline, expected_kind, out):
+def _check_partitioning(name, part, size, expected_kind, out):
     where = f"{expected_kind[0]}part {name}"
     if part.kind != expected_kind:
         out.append(Violation("KindMismatch", where))
+    covered = 0
     for b in part.blocks:
-        if b.hi > timeline.t_last:
+        if b.hi >= size:
             out.append(Violation("BadPeriodBounds", f"{where} block {b}"))
             return
-    covered = sum(b.hi - b.lo + 1 for b in part.blocks)
-    tiles = covered == timeline.size and all(
-        b.lo == a.hi + 1 for a, b in zip(part.blocks, part.blocks[1:])
-    ) and (not part.blocks or part.blocks[0].lo == 0)
-    if expected_kind == COMPLETE and not tiles:
+        covered += b.hi - b.lo + 1
+    # disjoint blocks (see Partitioning) inside the timeline tile it
+    # exactly when they cover as many points as it has
+    if expected_kind == COMPLETE and covered != size:
         out.append(Violation("IncompletePartitioning", where))
-    if expected_kind == GAPPY and covered >= timeline.size:
+    if expected_kind == GAPPY and covered == size:
         out.append(Violation("GappyCoversAll", where))
 
 
 def validate_model(m: TopModel) -> list:
     """All invariant violations of a TOP model; empty list means valid."""
     out = []
-    tl = m.timeline
+    size = m.timeline.size
+    atoms = set(m.domain.atoms)
 
     for name, obj in m.consts.items():
-        if obj not in m.domain:
+        if obj.hi >= size if type(obj) is Period else obj not in atoms:
             out.append(Violation("UnknownObject", f"constant {name}"))
 
     arities = {}
-    for f, n in list(m.preds) + list(m.culms):
+    for f, n in [*m.preds, *m.culms]:
         if arities.setdefault(f, n) != n:
             out.append(Violation("InconsistentArity", f"functor {f}"))
         if n < 1:
@@ -982,11 +980,11 @@ def validate_model(m: TopModel) -> list:
                 out.append(Violation("BadArity", f"{f} tuple {args}"))
                 continue
             for o in args:
-                if o not in m.domain:
+                if o.hi >= size if type(o) is Period else o not in atoms:
                     out.append(Violation("UnknownObject", f"{f}{args}"))
             ordered = sorted(ps)
             for p in ordered:
-                if p.hi > tl.t_last:
+                if p.hi >= size:
                     out.append(Violation("BadPeriodBounds", f"{f}{args} {p}"))
             for a, b in zip(ordered, ordered[1:]):
                 if mergeable(a, b):
@@ -995,8 +993,8 @@ def validate_model(m: TopModel) -> list:
                     )
 
     for name, part in m.cparts.items():
-        _check_partitioning(name, part, tl, COMPLETE, out)
+        _check_partitioning(name, part, size, COMPLETE, out)
     for name, part in m.gparts.items():
-        _check_partitioning(name, part, tl, GAPPY, out)
+        _check_partitioning(name, part, size, GAPPY, out)
 
     return out

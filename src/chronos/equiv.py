@@ -35,6 +35,11 @@ from .modelfile import format_model
 from .translate import translate
 
 
+#: the largest value of each GenParams bound
+_CAPS = dict(timeline_size=10, atom_count=4, pred_count=3, max_arity=2,
+             max_depth=4, max_periods_per_tuple=2, max_free_vars=3)
+
+
 class GenParams(Record):
     """Upper bounds for the random case generator; all draws stay below them."""
 
@@ -48,16 +53,8 @@ class GenParams(Record):
     seed: int = 0
 
     def __post_init__(self):
-        bounds = [
-            ("timeline_size", self.timeline_size, 10),
-            ("atom_count", self.atom_count, 4),
-            ("pred_count", self.pred_count, 3),
-            ("max_arity", self.max_arity, 2),
-            ("max_depth", self.max_depth, 4),
-            ("max_periods_per_tuple", self.max_periods_per_tuple, 2),
-            ("max_free_vars", self.max_free_vars, 3),
-        ]
-        for name, value, cap in bounds:
+        for name, cap in _CAPS.items():
+            value = getattr(self, name)
             if not 1 <= value <= cap:
                 raise ValueError(f"{name} must be in 1..{cap}, got {value}")
 
@@ -125,6 +122,13 @@ def _random_tiling(rng, size):
     return blocks
 
 
+#: the names gen_model gives atoms, period constants and predicates, as
+#: many as GenParams allows
+_ATOMS = tuple(f"obj{i}" for i in range(_CAPS["atom_count"]))
+_PERIOD_CONSTS = ("t0", "t1")
+_PREDS = tuple(f"q{k}" for k in range(_CAPS["pred_count"]))
+
+
 def gen_model(params: GenParams, rng=None) -> TopModel:
     """A valid random model with at least one complete and one gappy
     partitioning and a non-empty extension for every predicate."""
@@ -133,15 +137,15 @@ def gen_model(params: GenParams, rng=None) -> TopModel:
     size = rng.randrange(min(3, params.timeline_size), params.timeline_size + 1)
     timeline = Timeline(size)
 
-    atoms = tuple(f"obj{i}" for i in range(rng.randrange(1, params.atom_count + 1)))
+    atoms = _ATOMS[:rng.randrange(1, params.atom_count + 1)]
     consts = {a: a for a in atoms}
-    for i in range(rng.randrange(1, 3)):
+    for name in _PERIOD_CONSTS[:rng.randrange(1, 3)]:
         lo = rng.randrange(0, size)
-        consts[f"t{i}"] = Period(lo, rng.randrange(lo, size))
+        consts[name] = Period(lo, rng.randrange(lo, size))
 
     preds = {}
     culms = {}
-    for k in range(rng.randrange(1, params.pred_count + 1)):
+    for name in _PREDS[:rng.randrange(1, params.pred_count + 1)]:
         arity = rng.randrange(1, params.max_arity + 1)
         ext = {}
         flags = {}
@@ -153,8 +157,8 @@ def gen_model(params: GenParams, rng=None) -> TopModel:
                 rng, size, params.max_periods_per_tuple
             )
             flags[args] = rng.random() < 0.5
-        preds[(f"q{k}", arity)] = ext
-        culms[(f"q{k}", arity)] = flags
+        preds[(name, arity)] = ext
+        culms[(name, arity)] = flags
 
     cparts = {"cp0": Partitioning(COMPLETE, tuple(_random_tiling(rng, size)))}
 

@@ -234,6 +234,39 @@ def test_round_trip_generated():
         assert parse_bot(print_bot(f)) == f
 
 
+#: the leaves of BOT expressions: each point keyword, and a variable and a
+#: constant, which a period position reads as a TermRef
+_LEAF_POINTS = [bot.BEG, bot.NOW, bot.END]
+_LEAF_TERMS = [Var("v"), Const("k")]
+
+
+def test_every_atom_over_terms_of_depth_two_round_trips():
+    """Every atom whose terms are a leaf or one constructor over leaves,
+    a leaf being at depth one."""
+    refs = [bot.TermRef(t) for t in _LEAF_TERMS]
+    points = _LEAF_POINTS + [bot.Succ(p) for p in _LEAF_POINTS] + [
+        bound(r) for bound in (bot.Earliest, bot.Latest) for r in refs]
+    periods = refs + [
+        bot.Interval(*args) for args in itertools.product(
+            _LEAF_POINTS, _LEAF_POINTS, (True, False), (True, False))
+    ] + [bot.Intersect(a, b) for a, b in itertools.product(refs, repeat=2)]
+    # in a term position a variable or constant stands bare, not as a TermRef
+    terms = _LEAF_TERMS + points + periods[len(refs):]
+    pairs = list(itertools.product(terms, repeat=2))
+    atoms = (
+        [bot.Subper(a, b) for a, b in itertools.product(periods, repeat=2)]
+        + [bot.Eq(a, b) for a, b in pairs]
+        + [bot.Prec(a, b) for a, b in itertools.product(points, repeat=2)]
+        + [bot.IsPeriod(t) for t in terms]
+        + [bot.InPart("p", t) for t in terms]
+        + [bot.Literal("q", (t,)) for t in terms]
+        + [bot.Literal("q", pair) for pair in pairs]
+    )
+    assert len(atoms) == 7428
+    for f in atoms:
+        assert parse_bot(print_bot(f)) == f, f
+
+
 def test_base_literal_round_trips_to_maximal_periods(m0, b0):
     """A true base literal's trailing period is always a listed maximal period."""
     m = m0.model

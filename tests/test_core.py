@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from chronos import core
 from chronos.core import (
     COMPLETE,
     EMPTY,
@@ -107,6 +108,19 @@ def test_domains_of_one_size_share_their_periods():
     b = ObjectDomain(Timeline(4), ("y", "z")).index.objects
     assert a[1:] == b[2:] == Timeline(4).periods()
     assert all(p is q for p, q in zip(a[1:], b[2:]))
+
+
+def test_domains_of_equal_atoms_and_size_share_one_index():
+    a = ObjectDomain(Timeline(6), ("x", "y"))
+    b = ObjectDomain(Timeline(6), tuple(["x", "y"]))
+    assert a is not b and a.index is b.index
+    assert a.index.objects == DomainIndex(("x", "y"), Timeline(6)).objects
+    assert ObjectDomain(Timeline(7), ("x", "y")).index is not a.index
+    assert ObjectDomain(Timeline(6), ("y", "x")).index is not a.index
+    for size in range(1, 101):
+        assert ObjectDomain(Timeline(size), ("z",)).index.objects[0] == "z"
+    info = core._index.cache_info()
+    assert info.currsize == info.maxsize
 
 
 def test_period_positions_match_enumeration():
@@ -361,6 +375,96 @@ def test_derive_bot_model_functor_collision():
     }, culms={("building", 2): {}, ("cmp_building", 2): {}})
     with pytest.raises(FunctorCollision):
         derive_bot_model(m)
+    for names in (set(), {"building"}):  # named or not, every pi is checked
+        with pytest.raises(FunctorCollision):
+            derive_bot_model(m, names=names)
+
+
+#: (fields changed in `_model`, its report); a block past the end of the
+#: timeline is the one violation its partitioning reports after the kind
+VALIDATION_REPORTS = [
+    (dict(consts={"tank5": "tank5", "ghost": "ghost", "seven": 7, "none": None,
+                  "late": P(8, 10), "last": P(9, 9)}), [
+        "UnknownObject: constant ghost",
+        "UnknownObject: constant seven",
+        "UnknownObject: constant none",
+        "UnknownObject: constant late",
+    ]),
+    (dict(culms={("empty", 2): {}, ("building", 2): {}, ("nil", 0): {}}), [
+        "InconsistentArity: functor empty",
+        "BadArity: functor nil/0",
+    ]),
+    (dict(preds={
+        ("empty", 1): {
+            ("tank5", "bridge2"): frozenset({P(2, 5)}),
+            ("ghost",): frozenset({P(1, 1)}),
+            (P(2, 3),): frozenset({P(0, 0)}),
+            (P(3, 10),): frozenset({P(0, 0)}),
+            ("bridge2",): frozenset({P(6, 12), P(0, 10)}),
+            ("housecorp",): frozenset({P(0, 1), P(2, 3), P(5, 5), P(6, 9)}),
+        },
+        ("building", 2): {("housecorp", "ghost"): frozenset({P(1, 2)}),
+                          ("ghost", "ghost"): frozenset()},
+    }), [
+        "BadArity: empty tuple ('tank5', 'bridge2')",
+        "UnknownObject: empty('ghost',)",
+        "UnknownObject: empty(Period(lo=3, hi=10),)",
+        "BadPeriodBounds: empty('bridge2',) [0,10]",
+        "BadPeriodBounds: empty('bridge2',) [6,12]",
+        "MergeablePeriods: empty('bridge2',): [0,10] and [6,12]",
+        "MergeablePeriods: empty('housecorp',): [0,1] and [2,3]",
+        "MergeablePeriods: empty('housecorp',): [5,5] and [6,9]",
+        "UnknownObject: building('housecorp', 'ghost')",
+        "UnknownObject: building('ghost', 'ghost')",
+        "UnknownObject: building('ghost', 'ghost')",
+    ]),
+    (dict(cparts={"minute": Partitioning(GAPPY, (P(0, 3), P(5, 9))),
+                  "hour": Partitioning(COMPLETE, (P(0, 3), P(5, 9))),
+                  "day": Partitioning(COMPLETE, (P(1, 9),)),
+                  "week": Partitioning(COMPLETE, (P(0, 8),)),
+                  "none": Partitioning(COMPLETE, ()),
+                  "whole": Partitioning(COMPLETE, (P(0, 4), P(5, 9)))},
+          gparts={"fivepm": Partitioning(COMPLETE, (P(0, 4), P(5, 9))),
+                  "all": Partitioning(GAPPY, (P(0, 9),)),
+                  "none": Partitioning(GAPPY, ()),
+                  "late": Partitioning(GAPPY, (P(3, 3), P(9, 10)))}), [
+        "KindMismatch: cpart minute",
+        "IncompletePartitioning: cpart minute",
+        "IncompletePartitioning: cpart hour",
+        "IncompletePartitioning: cpart day",
+        "IncompletePartitioning: cpart week",
+        "IncompletePartitioning: cpart none",
+        "KindMismatch: gpart fivepm",
+        "GappyCoversAll: gpart fivepm",
+        "GappyCoversAll: gpart all",
+        "BadPeriodBounds: gpart late block [9,10]",
+    ]),
+    (dict(consts={"ghost": "ghost"},
+          culms={("empty", 2): {}},
+          preds={("empty", 1): {("tank5",): frozenset({P(2, 3), P(4, 12)})}},
+          cparts={"minute": Partitioning(COMPLETE, (P(0, 3), P(4, 12), P(13, 14))),
+                  "odd": Partitioning(GAPPY, (P(0, 3), P(5, 10)))},
+          gparts={"fivepm": Partitioning(GAPPY, (P(0, 9), P(10, 10)))}), [
+        "UnknownObject: constant ghost",
+        "InconsistentArity: functor empty",
+        "BadPeriodBounds: empty('tank5',) [4,12]",
+        "MergeablePeriods: empty('tank5',): [2,3] and [4,12]",
+        "BadPeriodBounds: cpart minute block [4,12]",
+        "KindMismatch: cpart odd",
+        "BadPeriodBounds: cpart odd block [5,10]",
+        "BadPeriodBounds: gpart fivepm block [10,10]",
+    ]),
+]
+
+
+def test_validate_model_reports_are_pinned():
+    """Every violation code, several in one model, in report order."""
+    for overrides, report in VALIDATION_REPORTS:
+        assert [str(v) for v in validate_model(_model(**overrides))] == report
+    codes = {line.split(":")[0] for _, report in VALIDATION_REPORTS for line in report}
+    assert codes == {"UnknownObject", "InconsistentArity", "BadArity",
+                     "BadPeriodBounds", "MergeablePeriods", "KindMismatch",
+                     "IncompletePartitioning", "GappyCoversAll"}
 
 
 def test_eta_mapping_names():

@@ -11,6 +11,7 @@ from chronos.core import (
     CandidatePlan,
     Record,
     UnknownConstant,
+    Violation,
     derive_bot_model,
     validate_model,
 )
@@ -46,6 +47,22 @@ def test_gen_model_is_valid_across_seeds():
         assert m.cparts and m.gparts
         for (functor, arity), ext in m.preds.items():
             assert any(ps for ps in ext.values())
+
+
+def test_gen_model_validates_every_model(monkeypatch):
+    """validate_model runs on every generated model, and a violation it
+    reports stops the case."""
+    checked = []
+
+    def validate(m):
+        checked.append(m)
+        return [] if len(checked) < 40 else [Violation("BadArity", "functor q/0")]
+
+    monkeypatch.setattr(equiv, "validate_model", validate)
+    models = [gen_case(GenParams(seed=42), i)[0] for i in range(39)]
+    assert checked == models
+    with pytest.raises(AssertionError, match="generated invalid model"):
+        gen_case(GenParams(seed=42), 39)
 
 
 def test_gen_model_deterministic_in_seed():
@@ -241,6 +258,28 @@ def test_generated_cases_are_pinned_across_whole_seeds():
             h.update(print_top(f).encode())
             h.update(format_model(m, st).encode())
         assert h.hexdigest() == digest, seed
+
+
+def test_named_derivation_derives_the_named_relations_only(m0):
+    """derive_bot_model(m, names=N) holds exactly the relations of
+    derive_bot_model(m) whose functor is in N: for each translation's
+    functors over 300 cases of case seeds 42 and 4, and on m0 for no
+    functor and for each one alone."""
+    def check(m, names):
+        full = derive_bot_model(m).bot_preds
+        named = derive_bot_model(m, names=names).bot_preds
+        assert named == {k: v for k, v in full.items() if k[0] in names}, names
+        return len(named) < len(full)
+
+    partial = 0
+    for seed in (42, 4):
+        for i in range(300):
+            m, st, f = gen_case(GenParams(seed=seed), i)
+            partial += check(m, bot.functors(translate(f)))
+    assert partial > 300
+    check(m0.model, set())
+    for functor, _ in derive_bot_model(m0.model).bot_preds:
+        assert check(m0.model, {functor})
 
 
 def test_generator_draws_every_operator():
