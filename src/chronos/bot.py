@@ -67,11 +67,6 @@ class Succ(Record):
     point: object
 
 
-BEG = Beg()
-NOW = Now()
-END = End()
-
-
 # Period expressions
 
 
@@ -120,10 +115,6 @@ class Prec(Record):
     right: object
 
 
-_POINT_TYPES = (Beg, Now, End, Earliest, Latest, Succ)
-_PERIOD_TYPES = (Interval, Intersect, TermRef)
-
-
 # ---------------------------------------------------------------------------
 # Conjuncts and symbols
 
@@ -148,11 +139,38 @@ def functors(f) -> set:
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-_POINT_KEYWORDS = {"beg": BEG, "now": NOW, "end": END}
-_BOUNDS = {"earliest": Earliest, "latest": Latest}
-_ATOM_KEYWORDS = {"subper", "eq", "period", "part", "prec"}
-_RESERVED = (_POINT_KEYWORDS.keys() | _BOUNDS.keys() | _ATOM_KEYWORDS
-             | {"succ", "intersect"})
+#: each constructor's keyword, what it makes (X a point expression, P a
+#: period expression, A an atom) and its parenthesised arguments in
+#: order, one letter each by kind: X point expression, P period
+#: expression, T term and N partitioning name. A constructor's fields are
+#: its arguments in this order, and one with none is its bare keyword.
+#: The parser and the printer read each argument by its kind; an
+#: interval, a term used as a period (`TermRef`), a literal and ``&``
+#: have syntax of their own.
+SHAPES = {
+    Beg: ("beg", "X", ""),
+    Now: ("now", "X", ""),
+    End: ("end", "X", ""),
+    Earliest: ("earliest", "X", "P"),
+    Latest: ("latest", "X", "P"),
+    Succ: ("succ", "X", "X"),
+    Intersect: ("intersect", "P", "PP"),
+    Subper: ("subper", "A", "PP"),
+    Eq: ("eq", "A", "TT"),
+    IsPeriod: ("period", "A", "T"),
+    InPart: ("part", "A", "NT"),
+    Prec: ("prec", "A", "XX"),
+}
+#: keyword -> (constructor, what it makes, argument kinds), a constructor
+#: of no arguments given by its one node; the keywords are reserved, so no
+#: constant or functor is spelled as one
+_KEYWORDS = {word: (cls if args else cls(), makes, args)
+             for cls, (word, makes, args) in SHAPES.items()}
+#: the one node of each bare keyword, which the parser returns
+BEG, NOW, END = (_KEYWORDS[word][0] for word in ("beg", "now", "end"))
+_POINT_TYPES = tuple(cls for cls, shape in SHAPES.items() if shape[1] == "X")
+_PERIOD_TYPES = (Interval, TermRef, *(cls for cls, shape in SHAPES.items()
+                                     if shape[1] == "P"))
 
 
 class _BotParser(lexer.Parser):
@@ -162,104 +180,76 @@ class _BotParser(lexer.Parser):
 
     def unit(self):
         name = self.tokens[self.pos]
+        if name in _KEYWORDS:
+            return self.term("A")
         if name[:1] in lexer.KINDS:
             self.error("expected an atomic formula")
-        if name not in _RESERVED:
-            return self.literal()
-        if name not in _ATOM_KEYWORDS:
-            self.error(f"misplaced keyword {name!r}")
-        self.pos += 1
-        self.expect("(")
-        if name == "subper":
-            a = self.period_expr()
-            self.expect(",")
-            f = Subper(a, self.period_expr())
-        elif name == "eq":
-            a = self.term()
-            self.expect(",")
-            f = Eq(a, self.term())
-        elif name == "prec":
-            a = self.point_expr()
-            self.expect(",")
-            f = Prec(a, self.point_expr())
-        elif name == "period":
-            f = IsPeriod(self.term())
-        else:  # part
-            part = self.expect(lexer.IDENT, "partitioning name")
-            self.expect(",")
-            f = InPart(part, self.term())
-        self.expect(")")
-        return f
+        return self.literal()
 
-    def term(self):
-        name = self.tokens[self.pos]
+    def term(self, kind="T"):
+        """The argument of a kind, T by default, at the cursor, or with A
+        the atom a keyword starts there. A keyword reads its arguments
+        here by their kinds, so a nesting level takes one frame; a point
+        or period keyword enters a level, an atom does not."""
+        tokens = self.tokens
+        name = tokens[self.pos]
         head = name[:1]
-        if head == "?":
+        if head == "?" and kind != "X":
             self.pos += 1
-            return self.vars[name]
+            return self.vars[name] if kind == "T" else TermRef(self.vars[name])
         if head not in lexer.KINDS:
-            if name not in _RESERVED:
+            shape = _KEYWORDS.get(name)
+            if shape is None:
+                if kind != "X":
+                    self.pos += 1
+                    const = self.consts[name]
+                    return const if kind == "T" else TermRef(const)
+            elif shape[1] == kind or kind == "T" and shape[1] != "A":
+                make, sort, args = shape
+                if not args:
+                    self.pos += 1
+                    return make  # the node itself
+                nests = sort != "A"
+                if nests:
+                    self.enter()
                 self.pos += 1
-                return self.consts[name]
-            if name == "intersect":
-                return self.period_expr()
-            if name not in _ATOM_KEYWORDS:
-                return self.point_expr()
-            self.error(f"misplaced keyword {name!r}")
-        if name == "[" or name == "(":
-            return self.period_expr()
-        self.error("expected a term")
-
-    def point_expr(self):
-        name = self.tokens[self.pos]
-        if name[:1] in lexer.KINDS:
-            self.expect(lexer.IDENT, "point expression")
-        point = _POINT_KEYWORDS.get(name)
-        if point is not None:
+                if tokens[self.pos] != "(":
+                    self.expect("(")  # raises
+                self.pos += 1
+                first = (self.expect(lexer.IDENT, "partitioning name")
+                         if args[0] == "N" else self.term(args[0]))
+                if len(args) > 1:
+                    if tokens[self.pos] != ",":
+                        self.expect(",")  # raises
+                    self.pos += 1
+                    node = make(first, self.term(args[1]))
+                else:
+                    node = make(first)
+                if tokens[self.pos] != ")":
+                    self.expect(")")  # raises
+                self.pos += 1
+                self.depth -= nests
+                return node
+            elif kind == "T" or kind == "A":
+                self.error(f"misplaced keyword {name!r}")
+        elif (name == "[" or name == "(") and kind != "X":
             self.pos += 1
-            return point
-        bound = _BOUNDS.get(name)
-        if bound is None and name != "succ":
-            self.error(f"expected point expression, found {name!r}")
-        self.enter()
-        self.pos += 1
-        self.expect("(")
-        e = Succ(self.point_expr()) if bound is None else bound(self.period_expr())
-        self.expect(")")
-        self.depth -= 1
-        return e
-
-    def period_expr(self):
-        name = self.tokens[self.pos]
-        head = name[:1]
-        if head == "?":
+            lo = self.term("X")
+            if tokens[self.pos] != ",":
+                self.expect(",")  # raises
             self.pos += 1
-            return TermRef(self.vars[name])
-        if name == "[" or name == "(":
-            self.pos += 1
-            lo = self.point_expr()
-            self.expect(",")
-            hi = self.point_expr()
-            close = self.tokens[self.pos]
+            hi = self.term("X")
+            close = tokens[self.pos]
             if close != "]" and close != ")":
                 self.error("expected ']' or ')' closing an interval")
             self.pos += 1
             return Interval(lo, hi, name == "[", close == "]")
-        if head not in lexer.KINDS:
-            if name not in _RESERVED:
-                self.pos += 1
-                return TermRef(self.consts[name])
-            if name == "intersect":
-                self.enter()
-                self.pos += 1
-                self.expect("(")
-                a = self.period_expr()
-                self.expect(",")
-                f = Intersect(a, self.period_expr())
-                self.expect(")")
-                self.depth -= 1
-                return f
-        self.error("expected a period expression")
+        if kind == "X":
+            if head in lexer.KINDS:
+                self.expect(lexer.IDENT, "point expression")
+            self.error(f"expected point expression, found {name!r}")
+        self.error("expected a period expression" if kind == "P"
+                   else "expected a term")
 
 
 def parse_bot(text: str):
@@ -267,51 +257,40 @@ def parse_bot(text: str):
     return _BotParser(text).parse()
 
 
-def _fmt_term(t) -> str:
-    tt = type(t)
-    if tt in (Var, Const):
-        return str(t)
-    if tt is Beg:
-        return "beg"
-    if tt is Now:
-        return "now"
-    if tt is End:
-        return "end"
-    if tt is Earliest:
-        return f"earliest({_fmt_term(t.per)})"
-    if tt is Latest:
-        return f"latest({_fmt_term(t.per)})"
-    if tt is Succ:
-        return f"succ({_fmt_term(t.point)})"
-    if tt is Interval:
-        lo = "[" if t.lo_closed else "("
-        hi = "]" if t.hi_closed else ")"
-        return f"{lo}{_fmt_term(t.lo)}, {_fmt_term(t.hi)}{hi}"
-    if tt is Intersect:
-        return f"intersect({_fmt_term(t.left)}, {_fmt_term(t.right)})"
-    if tt is TermRef:
-        return _fmt_term(t.term)
-    raise TypeError(f"not a BOT term: {t!r}")
+def _print(x, atom=False):
+    """The concrete syntax of a term, or with atom of a formula. A
+    constructor prints its arguments by their kinds, one frame per
+    nesting level, and a node in the wrong place raises TypeError."""
+    t = type(x)
+    if atom:
+        if t is Literal:
+            return f"{x.functor}({', '.join(map(_print, x.args))})"
+        if t is And:
+            return print_chain(x, print_bot)
+    elif t is Var:
+        return "?" + x.name
+    elif t is Const:
+        return x.name
+    elif t is Interval:
+        return (f"{'[' if x.lo_closed else '('}{_print(x.lo)}, "
+                f"{_print(x.hi)}{']' if x.hi_closed else ')'}")
+    elif t is TermRef:
+        return _print(x.term)
+    shape = SHAPES.get(t)
+    if shape is None or (shape[1] == "A") is not atom:
+        raise TypeError(f"not a BOT {'formula' if atom else 'term'}: {x!r}")
+    word, _, args = shape
+    if not args:
+        return word
+    if len(args) == 1:
+        return f"{word}({_print(getattr(x, t._fields[0]))})"
+    a, b = t._values(x)
+    return f"{word}({a if args[0] == 'N' else _print(a)}, {_print(b)})"
 
 
 def print_bot(f) -> str:
     """Canonical concrete syntax; parse_bot(print_bot(f)) == f."""
-    t = type(f)
-    if t is And:
-        return print_chain(f, print_bot)
-    if t is Literal:
-        return f"{f.functor}({', '.join(_fmt_term(a) for a in f.args)})"
-    if t is Subper:
-        return f"subper({_fmt_term(f.left)}, {_fmt_term(f.right)})"
-    if t is Eq:
-        return f"eq({_fmt_term(f.left)}, {_fmt_term(f.right)})"
-    if t is IsPeriod:
-        return f"period({_fmt_term(f.term)})"
-    if t is InPart:
-        return f"part({f.part}, {_fmt_term(f.term)})"
-    if t is Prec:
-        return f"prec({_fmt_term(f.left)}, {_fmt_term(f.right)})"
-    raise TypeError(f"not a BOT formula: {f!r}")
+    return _print(f, True)
 
 
 # ---------------------------------------------------------------------------

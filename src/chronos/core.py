@@ -992,6 +992,15 @@ def validate_model(m: TopModel) -> list:
                         Violation("MergeablePeriods", f"{f}{args}: {a} and {b}")
                     )
 
+    for (f, n), flags in m.culms.items():
+        for args in flags:
+            if len(args) != n:
+                out.append(Violation("BadArity", f"culm {f} tuple {args}"))
+                continue
+            for o in args:
+                if o.hi >= size if type(o) is Period else o not in atoms:
+                    out.append(Violation("UnknownObject", f"culm {f}{args}"))
+
     for name, part in m.cparts.items():
         _check_partitioning(name, part, size, COMPLETE, out)
     for name, part in m.gparts.items():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from chronos import bot
+from chronos import bot, top
 from chronos.core import (
     EMPTY,
     UNDEFINED,
@@ -56,6 +56,10 @@ def test_parse_structures():
             bot.Interval(bot.BEG, bot.NOW, True, False),
         ),
     )
+    # a bare keyword is always its one node
+    spans = sub.right
+    assert spans.left.lo is spans.right.lo is bot.BEG
+    assert spans.left.hi is bot.END and spans.right.hi is bot.NOW
 
 
 def test_parse_interval_bracket_mixes():
@@ -265,6 +269,26 @@ def test_every_atom_over_terms_of_depth_two_round_trips():
     assert len(atoms) == 7428
     for f in atoms:
         assert parse_bot(print_bot(f)) == f, f
+
+
+@pytest.mark.parametrize("node", [
+    # an atom where a term belongs
+    bot.Eq(bot.Subper(bot.TermRef(Var("x")), bot.TermRef(Var("y"))), bot.BEG),
+    bot.Literal("q", (bot.IsPeriod(Var("x")),)),
+    bot.Succ(bot.Prec(bot.BEG, bot.END)),
+    # a term, or a conjunction, where an atom belongs
+    bot.BEG,
+    Var("x"),
+    bot.Intersect(bot.TermRef(Var("x")), bot.TermRef(Var("y"))),
+    bot.Subper(bot.TermRef(Var("x")), bot.And(bot.IsPeriod(Var("x")),
+                                               bot.IsPeriod(Var("y")))),
+    # a TOP operator, alone or inside a BOT conjunction
+    top.Pres(bot.Literal("q", (Var("x"),))),
+    bot.And(bot.IsPeriod(Var("x")), top.Fills(bot.Literal("q", (Var("x"),)))),
+])
+def test_print_bot_refuses_misplaced_nodes(node):
+    with pytest.raises(TypeError, match="not a BOT"):
+        print_bot(node)
 
 
 def test_base_literal_round_trips_to_maximal_periods(m0, b0):

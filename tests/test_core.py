@@ -454,6 +454,11 @@ VALIDATION_REPORTS = [
         "BadPeriodBounds: cpart odd block [5,10]",
         "BadPeriodBounds: gpart fivepm block [10,10]",
     ]),
+    (dict(culms={("empty", 1): {("ghost",): True, ("tank5", "bridge2"): True},
+                 ("building", 2): {}}), [
+        "UnknownObject: culm empty('ghost',)",
+        "BadArity: culm empty tuple ('tank5', 'bridge2')",
+    ]),
 ]
 
 

@@ -6,6 +6,7 @@ and the reference ones must give an equal AST, or raise the same exception
 class with the same message, line and column.
 """
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,49 @@ def test_valid_and_mutated_input_parse_as_the_reference_does():
     assert raised > 3000 and parsed > 30, (raised, parsed)
 
 
+#: each BOT keyword, what it makes (X a point expression, P a period
+#: expression, A an atom) and a use of it as the grammar expects
+_KEYWORD_USES = {
+    "beg": ("X", "beg"),
+    "now": ("X", "now"),
+    "end": ("X", "end"),
+    "earliest": ("X", "earliest(?p)"),
+    "latest": ("X", "latest(intersect(?p, ?q))"),
+    "succ": ("X", "succ(beg)"),
+    "intersect": ("P", "intersect(?p, [beg, now))"),
+    "subper": ("A", "subper(?p, ?q)"),
+    "eq": ("A", "eq(?p, end)"),
+    "period": ("A", "period(?p)"),
+    "part": ("A", "part(p, ?p)"),
+    "prec": ("A", "prec(beg, now)"),
+}
+
+#: each position, two places it stands in a formula, and what it admits
+_POSITIONS = {
+    "atom": (("{}", "q(c) & {}"), "A"),
+    "term": (("eq({}, ?x)", "q(c, {})"), "XP"),
+    "point expression": (("prec({}, end)", "subper(?x, [beg, {}))"), "X"),
+    "period expression": (("subper({}, ?x)", "subper(?y, intersect(?x, {}))"),
+                          "P"),
+}
+
+
+@pytest.mark.parametrize("keyword", _KEYWORD_USES)
+@pytest.mark.parametrize("position", _POSITIONS)
+def test_every_keyword_in_every_position_parses_as_the_reference_does(
+        keyword, position):
+    """A keyword's use parses exactly where its kind is admitted; the use,
+    the bare keyword and the keyword over one variable give the reference
+    parser's AST or error everywhere."""
+    makes, use = _KEYWORD_USES[keyword]
+    places, admits = _POSITIONS[position]
+    for place in places:
+        parsed = _same(bot.parse_bot, reference.parse_bot, place.format(use))
+        assert isinstance(parsed, tuple) == (makes not in admits), place
+        for form in (keyword, keyword + "(?x)"):
+            _same(bot.parse_bot, reference.parse_bot, place.format(form))
+
+
 def test_errors_point_at_the_token_that_breaks_the_grammar():
     assert _outcome(top.parse_top, "Pres[u(c)") == (
         ParseError, "expected ], found 'end of input'", 1, 10)
@@ -189,6 +233,60 @@ def test_nesting_beyond_the_cap_fails_at_its_opening_token(lang, make, opening):
         parse(deeper)
     assert err.value.message == f"nesting deeper than {cap} levels"
     assert (err.value.line, err.value.column) == (1, opening(deeper) + 1)
+
+
+def _frames(run):
+    """The fewest stack frames run() needs beyond its caller's, found by
+    bisecting the recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    lo, hi = 1, limit
+    try:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            sys.setrecursionlimit(depth + mid)
+            try:
+                run()
+                hi = mid
+            except RecursionError:
+                lo = mid + 1
+    finally:
+        sys.setrecursionlimit(limit)
+    return lo
+
+
+@pytest.mark.parametrize("lang, outer, level, inner, parsing, printing", [
+    ("bot", "prec(beg, {})", "succ({})", "beg", 1, 1),
+    ("bot", "prec({}, end)", "succ({})", "now", 1, 1),
+    ("bot", "eq({}, ?x)", "succ({})", "end", 1, 1),
+    ("bot", "subper(?x, {})", "intersect({}, ?z)", "?p", 1, 1),
+    ("bot", "subper(?x, {})", "intersect(?z, {})", "?p", 1, 1),
+    # earliest or latest, and the interval or intersection around it
+    ("bot", "subper(?x, {})", "[beg, latest({})]", "?p", 2, 2),
+    ("bot", "subper(?x, {})", "(earliest({}), end)", "?p", 2, 2),
+    ("bot", "prec(beg, {})", "earliest([{}, end])", "beg", 2, 2),
+    # a group on the left is printed as one, on the right it is no group
+    ("bot", "{}", "({}) & period(?y)", "period(?y) & period(?y)", 1, 1),
+    ("bot", "{}", "period(?y) & ({})", "period(?y)", 1, 0),
+    ("top", "{}", "Pres[{}]", "u(c)", 2, 1),
+    ("top", "{}", "Past[?e, {}]", "u(c)", 2, 1),
+    ("top", "{}", "({}) & u(c)", "u(c) & u(c)", 1, 1),
+])
+def test_frames_per_nesting_level(lang, outer, level, inner, parsing, printing):
+    """What one more level of nesting costs the parser and the printer in
+    stack frames, which keeps every nesting the caps admit inside Python's
+    recursion limit."""
+    parse = PARSERS[lang][0]
+    show = top.print_top if lang == "top" else bot.print_bot
+    texts = [outer.format(_nest(n, (level,), inner)) for n in (20, 60)]
+    formulas = [parse(t) for t in texts]
+    assert [parse(show(f)) for f in formulas] == formulas
+    needs = [(_frames(lambda: parse(t)), _frames(lambda: show(f)))
+             for t, f in zip(texts, formulas)]
+    assert needs[1][0] - needs[0][0] == 40 * parsing
+    assert needs[1][1] - needs[0][1] == 40 * printing
 
 
 def _length(f):
